@@ -106,6 +106,10 @@ let popcount t =
   in
   Array.fold_left (fun acc l -> acc + count_limb l) 0 t.limbs
 
+let popcount_int n =
+  let rec go n acc = if n = 0 then acc else go (n land (n - 1)) (acc + 1) in
+  go n 0
+
 let of_binary_string s =
   let s = String.concat "" (String.split_on_char '_' s) in
   let w = String.length s in

@@ -64,6 +64,9 @@ val is_zero : t -> bool
 
 val popcount : t -> int
 
+val popcount_int : int -> int
+(** Set bits of a non-negative int (an unpacked narrow vector). *)
+
 val to_binary_string : t -> string
 (** MSB-first, exactly [width] characters. *)
 

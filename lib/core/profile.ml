@@ -34,15 +34,20 @@ type channel_stats = {
 
 (* Which endpoint exports the channel actually has: hand-built test
    netlists legally export a subset (a poked valid with no fire, a
-   fire/data pair with no ready), so the watcher records what resolved
-   and the per-cycle update computes only the statistics those signals
-   support (deriving fire = valid & ready when both exist). *)
+   fire/data pair with no ready), so the watcher keeps a sampler slot
+   for each endpoint that resolved and the per-cycle update computes
+   only the statistics those signals support (deriving fire = valid &
+   ready when both exist with equal widths).  Handshake vectors are one
+   bit per thread, so they are read as ints. *)
 type chan = {
   ch_stats : channel_stats;
-  ch_occ_signal : string option;
-  ch_has_valid : bool;
-  ch_has_ready : bool;
-  ch_has_fire : bool;
+  ch_valid : Hw.Sampler.slot option;
+  ch_ready : Hw.Sampler.slot option;
+  ch_fire : Hw.Sampler.slot option;
+  ch_derive_fire : bool; (* no fire export: fire = valid & ready *)
+  ch_fire_threads : int; (* threads counted per thread: min S (fire width) *)
+  ch_bp_mask : int; (* threads covered by valid and ready, for backpressure *)
+  ch_occ : Hw.Sampler.slot option;
 }
 
 type t = {
@@ -50,6 +55,7 @@ type t = {
   mutable cycles : int;
   channels : (string, chan) Hashtbl.t;
   mutable channel_order : string list; (* reversed *)
+  mutable live : chan array; (* watched channels, watch order *)
   gauges : (string, H.t) Hashtbl.t;
   mutable gauge_order : string list; (* reversed *)
 }
@@ -60,6 +66,7 @@ let make sampler =
     cycles = 0;
     channels = Hashtbl.create 16;
     channel_order = [];
+    live = [||];
     gauges = Hashtbl.create 16;
     gauge_order = [];
   }
@@ -76,80 +83,81 @@ let require_sampler t =
 let sampler t = t.sampler
 let cycles t = t.cycles
 
-let update_channel s name ch =
+let read = function Some s -> Hw.Sampler.value_int s | None -> 0
+
+let update_channel ch =
   let st = ch.ch_stats in
-  let v =
-    if ch.ch_has_valid then Some (Hw.Sampler.value s (Names.valid name)) else None
-  in
-  let r =
-    if ch.ch_has_ready then Some (Hw.Sampler.value s (Names.ready name)) else None
-  in
-  let f =
-    if ch.ch_has_fire then Some (Hw.Sampler.value s (Names.fire name))
-    else
-      match (v, r) with
-      | Some v, Some r when Bits.width v = Bits.width r ->
-        Some (Bits.logand v r)
-      | _ -> None
-  in
-  let nf = match f with Some f -> Bits.popcount f | None -> 0 in
-  (match f with
-  | Some f when nf > 0 ->
+  let v = read ch.ch_valid in
+  let f = if ch.ch_derive_fire then v land read ch.ch_ready else read ch.ch_fire in
+  let nf = Bits.popcount_int f in
+  if nf > 0 then begin
     st.cs_fires <- st.cs_fires + nf;
     st.cs_active_cycles <- st.cs_active_cycles + 1;
-    for i = 0 to min (st.cs_threads - 1) (Bits.width f - 1) do
-      if Bits.bit f i then
+    for i = 0 to ch.ch_fire_threads - 1 do
+      if f land (1 lsl i) <> 0 then
         st.cs_fires_per_thread.(i) <- st.cs_fires_per_thread.(i) + 1
     done
-  | _ -> ());
-  (match v with
-  | Some v ->
-    if Bits.is_zero v then st.cs_idle_cycles <- st.cs_idle_cycles + 1
+  end;
+  if Option.is_some ch.ch_valid then begin
+    if v = 0 then st.cs_idle_cycles <- st.cs_idle_cycles + 1
     else if nf = 0 then st.cs_stall_cycles <- st.cs_stall_cycles + 1
-  | None -> ());
-  (match (v, r) with
-  | Some v, Some r ->
-    let bp = ref false in
-    for i = 0 to min (min (st.cs_threads - 1) (Bits.width v - 1)) (Bits.width r - 1) do
-      if Bits.bit v i && not (Bits.bit r i) then bp := true
-    done;
-    if !bp then st.cs_backpressure_cycles <- st.cs_backpressure_cycles + 1
-  | _ -> ());
-  match (ch.ch_occ_signal, st.cs_occupancy) with
-  | Some sig_name, Some hist -> H.add hist (Hw.Sampler.value_int s sig_name)
+  end;
+  if v land lnot (read ch.ch_ready) land ch.ch_bp_mask <> 0 then
+    st.cs_backpressure_cycles <- st.cs_backpressure_cycles + 1;
+  match (ch.ch_occ, st.cs_occupancy) with
+  | Some occ, Some hist -> H.add hist (Hw.Sampler.value_int occ)
   | _ -> ()
 
 let attach s =
   let t = make (Some s) in
-  Hw.Sampler.on_sample s (fun s ->
+  Hw.Sampler.on_sample s (fun _ ->
       t.cycles <- t.cycles + 1;
-      List.iter
-        (fun name -> update_channel s name (Hashtbl.find t.channels name))
-        (List.rev t.channel_order));
+      Array.iter update_channel t.live);
   t
 
 let try_watch s name =
   match Hw.Sampler.watch s name with
-  | () -> true
-  | exception Hw.Sim_intf.Unknown_signal _ -> false
+  | slot ->
+    if not (Hw.Sampler.is_narrow slot) then
+      invalid_arg
+        (Printf.sprintf "Profile.watch_channel: %s is %d bits wide (one bit per thread, at most %d)"
+           name (Hw.Sampler.width slot) Bits.max_int_width);
+    Some slot
+  | exception Hw.Sim_intf.Unknown_signal _ -> None
+
+(* Low [n] bits set. *)
+let low_mask n = if n <= 0 then 0 else (1 lsl n) - 1
 
 let watch_channel ?(data = false) ?(occupancy = false) t ~name ~threads =
   let s = require_sampler t in
   if not (Hashtbl.mem t.channels name) then begin
-    let has_valid = try_watch s (Names.valid name) in
-    let has_ready = try_watch s (Names.ready name) in
-    let has_fire = try_watch s (Names.fire name) in
+    let valid = try_watch s (Names.valid name) in
+    let ready = try_watch s (Names.ready name) in
+    let fire = try_watch s (Names.fire name) in
     (* [data]/[occupancy] are explicit requests, so a missing export is
        an eager error (with the backend's near-miss diagnostics), not
        a silent degradation. *)
-    if data then Hw.Sampler.watch s (Names.data name);
-    let occ_signal =
-      if occupancy then begin
-        let n = Names.occupancy name in
-        Hw.Sampler.watch s n;
-        Some n
-      end
-      else None
+    if data then ignore (Hw.Sampler.watch s (Names.data name));
+    let occ =
+      if occupancy then Some (Hw.Sampler.watch s (Names.occupancy name)) else None
+    in
+    let width = Option.map Hw.Sampler.width in
+    let derive_fire =
+      fire = None
+      && (match (width valid, width ready) with
+          | Some wv, Some wr -> wv = wr
+          | _ -> false)
+    in
+    let fire_width =
+      match (fire, valid) with
+      | Some f, _ -> Hw.Sampler.width f
+      | None, Some v when derive_fire -> Hw.Sampler.width v
+      | _ -> 0
+    in
+    let bp_mask =
+      match (width valid, width ready) with
+      | Some wv, Some wr -> low_mask (min threads (min wv wr))
+      | _ -> 0
     in
     let stats =
       {
@@ -163,24 +171,23 @@ let watch_channel ?(data = false) ?(occupancy = false) t ~name ~threads =
         cs_occupancy = (if occupancy then Some (H.create ()) else None);
       }
     in
-    Hashtbl.add t.channels name
-      { ch_stats = stats; ch_occ_signal = occ_signal; ch_has_valid = has_valid;
-        ch_has_ready = has_ready; ch_has_fire = has_fire };
-    t.channel_order <- name :: t.channel_order
+    let ch =
+      { ch_stats = stats; ch_valid = valid; ch_ready = ready; ch_fire = fire;
+        ch_derive_fire = derive_fire;
+        ch_fire_threads = min threads fire_width;
+        ch_bp_mask = bp_mask; ch_occ = occ }
+    in
+    Hashtbl.add t.channels name ch;
+    t.channel_order <- name :: t.channel_order;
+    t.live <- Array.append t.live [| ch |]
   end
   else if data then
     (* idempotent upgrade: a later watcher may also need the data word *)
-    Hw.Sampler.watch s (Names.data name)
+    ignore (Hw.Sampler.watch s (Names.data name))
 
 let on_sample t f =
   let s = require_sampler t in
   Hw.Sampler.on_sample s (fun _ -> f t)
-
-let cycle t = Hw.Sampler.cycle (require_sampler t)
-let cycle_valid t name = Hw.Sampler.value (require_sampler t) (Names.valid name)
-let cycle_ready t name = Hw.Sampler.value (require_sampler t) (Names.ready name)
-let cycle_fire t name = Hw.Sampler.value (require_sampler t) (Names.fire name)
-let cycle_data t name = Hw.Sampler.value (require_sampler t) (Names.data name)
 
 (* ---------- channel statistics ---------- *)
 
@@ -460,8 +467,9 @@ let of_json str =
             }
           in
           Hashtbl.add t.channels name
-            { ch_stats = stats; ch_occ_signal = None; ch_has_valid = false;
-              ch_has_ready = false; ch_has_fire = false };
+            { ch_stats = stats; ch_valid = None; ch_ready = None; ch_fire = None;
+              ch_derive_fire = false; ch_fire_threads = 0; ch_bp_mask = 0;
+              ch_occ = None };
           t.channel_order <- name :: t.channel_order
         | _ -> ())
       chans

@@ -43,21 +43,18 @@ val watch_channel :
     [occupancy] — the circuit must export it, e.g. via
     [Component.buffer ~export_occupancy:true]) are explicit requests
     and raise {!Hw.Sim_intf.Unknown_signal} eagerly when missing.
-    Idempotent per channel. *)
+    Every endpoint is resolved to a sampler slot here, so the
+    per-cycle update counts bits on ints with no name lookup; a
+    handshake vector wider than [Bits.max_int_width] threads raises
+    [Invalid_argument].  Idempotent per channel. *)
 
 val on_sample : t -> (t -> unit) -> unit
 (** Register a per-cycle listener (after the profile's own counter
-    update).  Inside it, read the current cycle's values with the
-    [cycle_*] accessors below — this is how the protocol monitors
-    share the profile's sampling pass. *)
-
-val cycle : t -> int
-val cycle_valid : t -> string -> Bits.t
-val cycle_ready : t -> string -> Bits.t
-val cycle_fire : t -> string -> Bits.t
-
-val cycle_data : t -> string -> Bits.t
-(** Valid only for channels watched with [~data:true]. *)
+    update).  Listeners read the cycle's values through the slots of
+    the profile's sampler ({!Hw.Sampler.watch} on a watched channel's
+    [_valid]/[_ready]/[_fire]/[_data] name returns the slot the profile
+    already reads) — this is how the protocol monitors share the
+    profile's sampling pass. *)
 
 (** {1 Channel statistics} *)
 

@@ -168,11 +168,39 @@ let on_cycle ({ p = T ((module M), s); _ } as packed) f =
   (* Observers see the packed simulator, whatever the backend. *)
   M.on_cycle s (fun _ -> f packed)
 
-let poke { p = T ((module M), s); _ } name bits = M.poke s name bits
-let poke_int { p = T ((module M), s); _ } name n = M.poke_int s name n
-let peek { p = T ((module M), s); _ } name = M.peek s name
-let peek_int { p = T ((module M), s); _ } name = M.peek_int s name
-let peek_bool { p = T ((module M), s); _ } name = M.peek_bool s name
+(* A port packs the backend's own resolved handle with its instance,
+   so a read or write is one pattern match and one backend call. *)
+type port =
+  | P : (module Sim_intf.S with type t = 'a and type port = 'p) * 'a * 'p -> port
+
+let input_port { p = T ((module M), s); _ } name =
+  P ((module M), s, M.input_port s name)
+
+let signal_port { p = T ((module M), s); _ } name =
+  P ((module M), s, M.signal_port s name)
+
+let port_name (P ((module M), _, p)) = M.port_name p
+let port_width (P ((module M), _, p)) = M.port_width p
+let read (P ((module M), s, p)) = M.read s p
+let read_int (P ((module M), s, p)) = M.read_int s p
+let write (P ((module M), s, p)) v = M.write s p v
+let write_int (P ((module M), s, p)) n = M.write_int s p n
+
+(* The by-name API: resolve, then one port operation. *)
+let poke { p = T ((module M), s); _ } name v = M.write s (M.input_port ~op:"poke" s name) v
+
+let poke_int { p = T ((module M), s); _ } name n =
+  M.write_int s (M.input_port ~op:"poke_int" s name) n
+
+let peek { p = T ((module M), s); _ } name = M.read s (M.signal_port ~op:"peek" s name)
+
+let peek_int { p = T ((module M), s); _ } name =
+  M.read_int s (M.signal_port ~op:"peek_int" s name)
+
+let peek_bool { p = T ((module M), s); _ } name =
+  let p = M.signal_port ~op:"peek_bool" s name in
+  if M.port_width p <= Bits.max_int_width then M.read_int s p <> 0
+  else Bits.to_bool (M.read s p)
 
 let peek_signal ({ p = T ((module M), s); _ } as t) signal =
   M.peek_signal s (t.map_signal signal)

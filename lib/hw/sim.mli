@@ -89,6 +89,50 @@ val on_cycle : t -> (t -> unit) -> unit
 (** Register an observer called at the end of every cycle, before the
     state commit (i.e. it sees the cycle's settled values). *)
 
+(** {1 Ports}
+
+    Resolve a name once, then read or write through the handle: no
+    name building, no hashing, and for signals of width <=
+    [Bits.max_int_width] no allocation on {!read_int}/{!write_int}.
+    This is the per-cycle path for drivers, samplers and monitors. *)
+
+type port
+(** A resolved signal of one simulator.  Valid for the simulator's
+    lifetime, across {!reset} and {!restore}; under
+    [create ~optimize:true] it resolves names and aliases of the
+    optimized circuit. *)
+
+val input_port : t -> string -> port
+(** Resolve a primary input.  Raises {!Sim_intf.Unknown_signal} (with
+    near-miss candidates) when no input has that name. *)
+
+val signal_port : t -> string -> port
+(** Resolve a named signal, output or input (see
+    {!Circuit.find_named}); raises like {!input_port}. *)
+
+val port_name : port -> string
+val port_width : port -> int
+
+val read : port -> Bits.t
+(** Current value, exactly as {!peek} reads it: a wide signal's stored
+    vector, a fresh vector for a narrow one. *)
+
+val read_int : port -> int
+
+val write : port -> Bits.t -> unit
+(** Set the primary input behind the port; takes effect at the next
+    {!settle}/{!cycle}.  Only a change of the stored value dirties the
+    circuit, so re-writing an unchanged input leaves the next settle
+    free.  Raises [Invalid_argument] on a width mismatch or a port
+    that is not a primary input. *)
+
+val write_int : port -> int -> unit
+(** {!write} of a non-negative int, truncated to the port width. *)
+
+(** {1 By name}
+
+    Each call resolves the name, then does one port operation. *)
+
 val poke : t -> string -> Bits.t -> unit
 (** Set a primary input; takes effect at the next {!settle}/{!cycle}. *)
 

@@ -22,8 +22,8 @@
    invalidate a node — [steps_input] is the fan-out cone of the
    primary inputs, [steps_state] the cone of registers and memory
    reads (the two overlap; each is kept in topological order).  A
-   dirty flag tracks pokes ([poke]/[poke_int]/[mem_write] set it; a
-   settle clears it):
+   dirty flag tracks pokes (an input write that changes a stored value
+   sets it; a settle clears it), a second one testbench memory writes:
 
    - [settle] is a no-op when nothing was poked, and otherwise runs
      only the input cone;
@@ -111,10 +111,10 @@ type t = {
   mem_commits : (unit -> unit) array; (* write ports, phase b *)
   input_resets : (unit -> unit) array;
   snap_regs : Signal.t array; (* Circuit.registers order, for snapshot/restore *)
-  mutable dirty : bool; (* an input was poked since the last settle *)
+  mutable dirty : bool; (* an input changed since the last settle *)
   mutable mstale : bool; (* a memory was written from the testbench *)
   mutable cycle_no : int;
-  mutable observers : (t -> unit) list;
+  mutable observers : (t -> unit) array; (* registration order *)
   mutable commit_jit : ((unit -> unit) -> unit) option;
   (* Sim_jit's generated commit: samples the clear-less registers into
      locals, calls its argument (the slow middle below), then writes.
@@ -571,7 +571,7 @@ let create circuit =
     { circuit; ivals; bvals; mem_state; steps; steps_input; steps_state;
       step_nodes; input_dep; state_dep;
       int_regs; wide_regs; reg_steps; mem_commits; input_resets; snap_regs;
-      dirty = false; mstale = false; cycle_no = 0; observers = [];
+      dirty = false; mstale = false; cycle_no = 0; observers = [||];
       commit_jit = None;
       run_jit = None;
       commit_mid =
@@ -656,7 +656,7 @@ let cycle t =
      since the last settle (the trailing settle below keeps everything
      else fresh). *)
   settle t;
-  List.iter (fun f -> f t) (List.rev t.observers);
+  Array.iter (fun f -> f t) t.observers;
   commit t;
   t.cycle_no <- t.cycle_no + 1;
   (* Trailing settle: the commit invalidated the state cone.  If an
@@ -675,7 +675,7 @@ let cycle t =
 
 let cycles t n =
   match t.run_jit with
-  | Some run when (match t.observers with [] -> true | _ -> false) && n > 0 ->
+  | Some run when Array.length t.observers = 0 && n > 0 ->
     (* Flush pending pokes/testbench writes, then hand the whole batch
        to the generated loop.  It leaves every slot settled (its last
        action per cycle is the state-cone settle), so both staleness
@@ -692,40 +692,74 @@ let cycle_no t = t.cycle_no
 
 let circuit t = t.circuit
 
-let on_cycle t f = t.observers <- f :: t.observers
+let on_cycle t f = t.observers <- Array.append t.observers [| f |]
 
-let input_signal t fname name =
-  Sim_intf.find_input ~backend:name_ ~op:fname t.circuit name
+(* A port is a pre-resolved storage slot: the uid of the node at the
+   end of the name's wire chain, on the int or the [Bits.t] side.
+   Input writes compare before storing, so re-poking an unchanged value
+   leaves the circuit clean and the next settle free. *)
+type port = {
+  pname : string;
+  slot : int;
+  pwidth : int;
+  narrow : bool; (* slot lives in [ivals] *)
+  input : bool;
+}
 
-let poke t name bits =
-  let s = input_signal t "poke" name in
-  if Bits.width bits <> s.Signal.width then
-    invalid_arg
-      (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name
-         (Bits.width bits) s.Signal.width);
-  if is_int s then t.ivals.(s.Signal.uid) <- Bits.to_int_exn bits
-  else t.bvals.(s.Signal.uid) <- bits;
-  t.dirty <- true
+let port_of name (s : Signal.t) =
+  let input = match s.Signal.op with Signal.Input _ -> true | _ -> false in
+  let s = resolve s in
+  { pname = name; slot = s.Signal.uid; pwidth = s.Signal.width;
+    narrow = is_int s; input }
 
-let poke_int t name n =
-  let s = input_signal t "poke_int" name in
-  poke t name (Bits.of_int ~width:s.Signal.width n)
+let input_port ?(op = "input_port") t name =
+  port_of name (Sim_intf.find_input ~backend:name_ ~op t.circuit name)
+
+let signal_port ?(op = "signal_port") t name =
+  port_of name (Sim_intf.find_named ~backend:name_ ~op t.circuit name)
+
+let port_name p = p.pname
+let port_width p = p.pwidth
+
+let read t p =
+  if p.narrow then Bits.of_int ~width:p.pwidth t.ivals.(p.slot)
+  else t.bvals.(p.slot)
+
+let read_int t p =
+  if p.narrow then t.ivals.(p.slot) else Bits.to_int t.bvals.(p.slot)
+
+let write_int t p n =
+  if not p.input then Sim_intf.not_an_input p.pname;
+  if not p.narrow then begin
+    let v = Bits.of_int ~width:p.pwidth n in
+    if not (Bits.equal t.bvals.(p.slot) v) then begin
+      t.bvals.(p.slot) <- v;
+      t.dirty <- true
+    end
+  end
+  else begin
+    if n < 0 then invalid_arg "Bits.of_int: negative";
+    let v = n land mask p.pwidth in
+    if t.ivals.(p.slot) <> v then begin
+      t.ivals.(p.slot) <- v;
+      t.dirty <- true
+    end
+  end
+
+let write t p bits =
+  if not p.input then Sim_intf.not_an_input p.pname;
+  if Bits.width bits <> p.pwidth then
+    Sim_intf.width_mismatch p.pname ~got:(Bits.width bits) ~want:p.pwidth;
+  if p.narrow then write_int t p (Bits.to_int_exn bits)
+  else if not (Bits.equal t.bvals.(p.slot) bits) then begin
+    t.bvals.(p.slot) <- bits;
+    t.dirty <- true
+  end
 
 let peek_signal t (s : Signal.t) =
   let s = resolve s in
   if is_int s then Bits.of_int ~width:s.Signal.width t.ivals.(s.Signal.uid)
   else t.bvals.(s.Signal.uid)
-
-let peek t name =
-  peek_signal t (Sim_intf.find_named ~backend:name_ ~op:"peek" t.circuit name)
-
-let peek_int t name =
-  let s = resolve (Sim_intf.find_named ~backend:name_ ~op:"peek_int" t.circuit name) in
-  if is_int s then t.ivals.(s.Signal.uid) else Bits.to_int t.bvals.(s.Signal.uid)
-
-let peek_bool t name =
-  let s = resolve (Sim_intf.find_named ~backend:name_ ~op:"peek_bool" t.circuit name) in
-  if is_int s then t.ivals.(s.Signal.uid) <> 0 else Bits.to_bool t.bvals.(s.Signal.uid)
 
 (* Register-state save/restore, in canonical [Circuit.registers] order
    (NOT the fast/slow commit partition).  Register outputs hold the
@@ -800,7 +834,7 @@ let mem_write t (m : Signal.memory) addr value =
 (* ---- hooks for the native-JIT backend (Sim_jit) ----
 
    Sim_jit reuses this backend's entire instance machinery — storage
-   layout, register/memory commit, peek/poke, snapshot/restore,
+   layout, register/memory commit, ports, snapshot/restore,
    activity flags — and only replaces the three settle schedules with
    compiled kernels.  Everything it needs is exposed here rather than
    duplicated there. *)

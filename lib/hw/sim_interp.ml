@@ -7,7 +7,8 @@
    state.  Out-of-range memory reads return zero; out-of-range writes
    are dropped.
 
-   A dirty flag (set by [poke]/[mem_write], cleared by a settle) makes
+   A dirty flag (set by an input write that changes a value or by
+   [mem_write], cleared by a settle) makes
    the redundant leading settle in [cycle] free when nothing was poked
    since the previous cycle's trailing settle: back-to-back [cycles]
    pay one settle per cycle instead of two.  A fresh simulator is
@@ -29,7 +30,7 @@ type t = {
   regs : Signal.t array;
   mutable dirty : bool; (* poked or written since the last settle *)
   mutable cycle_no : int;
-  mutable observers : (t -> unit) list;
+  mutable observers : (t -> unit) array; (* registration order *)
 }
 
 let mem_initial (m : Signal.memory) =
@@ -58,7 +59,7 @@ let create_unsettled circuit =
       | Signal.Input _ -> input_values.(s.Signal.uid) <- Bits.zero s.Signal.width
       | _ -> ());
   { circuit; values; reg_state; input_values; mem_state; regs;
-    dirty = false; cycle_no = 0; observers = [] }
+    dirty = false; cycle_no = 0; observers = [||] }
 
 let eval_node t (s : Signal.t) =
   let v x = t.values.(x.Signal.uid) in
@@ -145,7 +146,7 @@ let cycle t =
   (* Leading settle: skipped when the previous trailing settle already
      left every value consistent. *)
   settle t;
-  List.iter (fun f -> f t) (List.rev t.observers);
+  Array.iter (fun f -> f t) t.observers;
   commit t;
   t.cycle_no <- t.cycle_no + 1;
   (* Trailing settle: the commit changed register/memory state.
@@ -159,29 +160,41 @@ let cycle_no t = t.cycle_no
 
 let circuit t = t.circuit
 
-let on_cycle t f = t.observers <- f :: t.observers
+let on_cycle t f = t.observers <- Array.append t.observers [| f |]
 
-let poke t name bits =
-  let s = Sim_intf.find_input ~backend:name_ ~op:"poke" t.circuit name in
-  if Bits.width bits <> s.Signal.width then
-    invalid_arg
-      (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name
-         (Bits.width bits) s.Signal.width);
-  t.input_values.(s.Signal.uid) <- bits;
-  t.dirty <- true
+(* Ports index the node arrays by uid.  A read returns the settled
+   value, as the by-name peek always did; a write stores the input and
+   dirties the circuit only when the value actually changes. *)
+type port = { pname : string; uid : int; pwidth : int; input : bool }
 
-let poke_int t name n =
-  let s = Sim_intf.find_input ~backend:name_ ~op:"poke_int" t.circuit name in
-  poke t name (Bits.of_int ~width:s.Signal.width n)
+let port_of name (s : Signal.t) =
+  { pname = name; uid = s.Signal.uid; pwidth = s.Signal.width;
+    input = (match s.Signal.op with Signal.Input _ -> true | _ -> false) }
+
+let input_port ?(op = "input_port") t name =
+  port_of name (Sim_intf.find_input ~backend:name_ ~op t.circuit name)
+
+let signal_port ?(op = "signal_port") t name =
+  port_of name (Sim_intf.find_named ~backend:name_ ~op t.circuit name)
+
+let port_name p = p.pname
+let port_width p = p.pwidth
+
+let read t p = t.values.(p.uid)
+let read_int t p = Bits.to_int t.values.(p.uid)
+
+let write t p bits =
+  if not p.input then Sim_intf.not_an_input p.pname;
+  if Bits.width bits <> p.pwidth then
+    Sim_intf.width_mismatch p.pname ~got:(Bits.width bits) ~want:p.pwidth;
+  if not (Bits.equal t.input_values.(p.uid) bits) then begin
+    t.input_values.(p.uid) <- bits;
+    t.dirty <- true
+  end
+
+let write_int t p n = write t p (Bits.of_int ~width:p.pwidth n)
 
 let peek_signal t (s : Signal.t) = t.values.(s.Signal.uid)
-
-let peek t name =
-  peek_signal t (Sim_intf.find_named ~backend:name_ ~op:"peek" t.circuit name)
-
-let peek_int t name = Bits.to_int (peek t name)
-
-let peek_bool t name = Bits.to_bool (peek t name)
 
 (* Register-state save/restore, in [Circuit.registers] order ([t.regs]
    is exactly that).  Restore marks the simulator dirty rather than

@@ -10,13 +10,13 @@
 exception
   Unknown_signal of {
     backend : string;  (* "interp", "compiled", ... *)
-    op : string;  (* "peek", "poke", ... *)
+    op : string;  (* "peek", "poke", "signal_port", ... *)
     name : string;  (* the name that failed to resolve *)
     candidates : string list;  (* near-miss signal names, best first *)
   }
-(* Raised by [peek]/[poke] (and friends) on a name the circuit does not
-   export.  [candidates] lists close matches so a typo'd probe name is
-   diagnosable from the error alone. *)
+(* Raised by port resolution (and so by [peek]/[poke] and friends) on a
+   name the circuit does not export.  [candidates] lists close matches
+   so a typo'd probe name is diagnosable from the error alone. *)
 
 (* Bounded Levenshtein distance, used only to rank near misses. *)
 let edit_distance a b =
@@ -85,6 +85,14 @@ let find_named ~backend ~op (c : Circuit.t) name =
      | Some s -> s
      | None -> unknown_signal ~backend ~op ~names:(peekable_names c) name)
 
+(* Shared errors of the port write path. *)
+let not_an_input name =
+  invalid_arg (Printf.sprintf "Sim.write: %s is not a primary input" name)
+
+let width_mismatch name ~got ~want =
+  invalid_arg
+    (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name got want)
+
 let () =
   Printexc.register_printer (function
     | Unknown_signal { backend; op; name; candidates } ->
@@ -120,20 +128,40 @@ module type S = sig
   (** Register an observer called once per cycle, after settle and
       before the state commit (it sees the cycle's settled values). *)
 
-  val poke : t -> string -> Bits.t -> unit
-  (** Set a primary input; takes effect at the next {!settle}/{!cycle}.
-      Raises {!Unknown_signal} (with near-miss candidates) when no
+  type port
+  (** A signal resolved once by name: reads and writes through it do
+      no name building and no hashing, and — for signals of width
+      <= [Bits.max_int_width] — {!read_int}/{!write_int} allocate
+      nothing.  A port stays valid for the lifetime of the simulator,
+      across {!reset} and {!restore}. *)
+
+  val input_port : ?op:string -> t -> string -> port
+  (** Resolve a primary input.  Raises {!Unknown_signal} (with
+      near-miss candidates, [op] defaulting to ["input_port"]) when no
       input has that name. *)
 
-  val poke_int : t -> string -> int -> unit
+  val signal_port : ?op:string -> t -> string -> port
+  (** Resolve a named signal, output or input (see
+      {!Circuit.find_named}); raises like {!input_port}. *)
 
-  val peek : t -> string -> Bits.t
-  (** Read a named signal, output or input (see {!Circuit.find_named}).
-      Raises {!Unknown_signal} (with near-miss candidates) when the
-      name resolves to nothing. *)
+  val port_name : port -> string
+  val port_width : port -> int
 
-  val peek_int : t -> string -> int
-  val peek_bool : t -> string -> bool
+  val read : t -> port -> Bits.t
+  (** The port's current value, exactly as a by-name peek reads it. *)
+
+  val read_int : t -> port -> int
+
+  val write : t -> port -> Bits.t -> unit
+  (** Set the primary input behind the port; takes effect at the next
+      {!settle}/{!cycle}.  Marks the circuit dirty only when the stored
+      value changes (an unchanged input leaves its fan-out cone
+      consistent).  Raises [Invalid_argument] on a width mismatch or a
+      port that is not a primary input. *)
+
+  val write_int : t -> port -> int -> unit
+  (** {!write} of a non-negative int, truncated to the port width. *)
+
   val peek_signal : t -> Signal.t -> Bits.t
 
   val snapshot : t -> Bits.t array

@@ -10,7 +10,7 @@
    ([ocamlfind ocamlopt -shared], or plain [ocamlopt]), loaded with
    [Dynlink], and swapped in as the instance's settle schedules.
    Everything else — storage layout, register and memory commit,
-   peek/poke, snapshot/restore, activity gating, observers — is
+   ports, snapshot/restore, activity gating, observers — is
    [Sim_compiled]'s machinery, reused through
    [Sim_compiled.Jit_support], so the two backends cannot drift.
 
@@ -49,6 +49,9 @@
    under the working directory, override with [ELASTIC_JIT_CACHE])
    holding the generated source and the compiled [.cmxs], so repeated
    runs of the same circuit skip codegen and compilation entirely.
+   Entries are published by atomic rename with a content digest that
+   is checked before every load ([build_cmxs]), so processes sharing
+   the cache never load a partial or damaged kernel.
 
    When native loading is impossible — bytecode host, toolchain or the
    library's .cmi directory unavailable, compile failure — [create]
@@ -140,16 +143,22 @@ let loaded : (string, maker) Hashtbl.t = Hashtbl.create 16
 let seen : (string, unit) Hashtbl.t = Hashtbl.create 16
 let clear_process_cache () = Hashtbl.reset seen
 
-let clear_disk_cache () =
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm (cache_dir ())
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let clear_disk_cache () = rm_rf (cache_dir ())
+
+(* One cache entry per netlist hash: a directory holding the kernel's
+   source and its compiled unit. *)
+let kernel_module hash = "elastic_jit_" ^ String.sub hash 0 12
+
+let kernel_path ~hash =
+  Filename.concat (Filename.concat (cache_dir ()) hash) (kernel_module hash ^ ".cmxs")
 
 (* ---- emit plan ----
 
@@ -1065,16 +1074,24 @@ let iface_fingerprint =
        String.concat ";"
          (List.concat_map
             (fun d ->
-              List.filter_map
-                (fun f ->
-                  let p = Filename.concat d f in
-                  match Digest.file p with
-                  | dg -> Some (Digest.to_hex dg)
-                  | exception Sys_error _ -> None)
-                (* cmx too: with cross-module inlining the generated
-                   code bakes in implementation details, not just the
-                   interfaces *)
-                [ "hw.cmi"; "bits.cmi"; "hw.cmx"; "bits.cmx" ])
+              (* Every unit of the libraries, not just the [Hw]/[Bits]
+                 alias modules: [Dynlink] checks the interface and
+                 implementation of each unit the plugin imports
+                 ([Hw__Sim_jit], ...).  cmx too: with cross-module
+                 inlining the generated code bakes in implementation
+                 details, not just the interfaces. *)
+              (match Sys.readdir d with
+               | files ->
+                 Array.to_list files
+                 |> List.filter (fun f ->
+                        Filename.check_suffix f ".cmi"
+                        || Filename.check_suffix f ".cmx")
+                 |> List.sort compare
+                 |> List.filter_map (fun f ->
+                        match Digest.file (Filename.concat d f) with
+                        | dg -> Some (f ^ ":" ^ Digest.to_hex dg)
+                        | exception Sys_error _ -> None)
+               | exception Sys_error _ -> []))
             dirs))
 
 let compiler_command =
@@ -1101,15 +1118,15 @@ let load_cmxs path =
   | Some m -> m
   | None -> raise (Fell_back "plugin did not register a kernel")
 
-(* Compile [src] (already on disk) to [out]; raises [Fell_back]. *)
-let compile_cmxs ~incs ~src ~out =
+(* Compile [src] (already on disk) to [out], compiler output to [log];
+   raises [Fell_back]. *)
+let compile_cmxs ~incs ~src ~out ~log =
   let compiler =
     match Lazy.force compiler_command with
     | Some c -> c
     | None -> raise (Fell_back "no native OCaml compiler on PATH")
   in
   let q = Filename.quote in
-  let log = src ^ ".log" in
   let inc_flags = String.concat " " (List.map (fun d -> "-I " ^ q d) incs) in
   let attempt flags =
     Sys.command
@@ -1121,6 +1138,58 @@ let compile_cmxs ~incs ~src ~out =
   let rc = if rc = 0 then 0 else attempt "-unsafe -inline 100 -w -a" in
   if rc <> 0 then
     raise (Fell_back (Printf.sprintf "compile failed (exit %d, log %s)" rc log))
+
+(* Every kernel is dlopen'ed only once its bytes match the digest
+   recorded next to it at build time: dlopen of a truncated shared
+   object can kill the process (SIGBUS) rather than fail, so a damaged
+   or unrecorded entry must be caught before the loader sees it. *)
+let digest_path cmxs = cmxs ^ ".digest"
+
+let verified cmxs =
+  match In_channel.with_open_bin (digest_path cmxs) In_channel.input_all with
+  | recorded -> String.trim recorded = Digest.to_hex (Digest.file cmxs)
+  | exception Sys_error _ -> false
+
+(* Build the kernel [modname] of [text] into the cache entry [dir] and
+   return [load] of it.
+
+   Everything is written in a private staging directory inside [dir]
+   and the finished [.cmxs] is [Sys.rename]d onto its final name, its
+   digest just before it, so a process sharing the cache never loads a
+   half-written kernel: it finds no file (and builds its own), a
+   complete one, or — when two builders interleave their renames — a
+   digest mismatch, which is a rebuild.  [load] runs on the staged
+   path, before the publish: after a failed load of the final path,
+   dlopen would hand back the stale object it already mapped under
+   that name.  The source is moved next to the kernel for inspection,
+   and the compiler log is written there directly. *)
+let stage_counter = ref 0
+
+let build_cmxs ~incs ~dir ~modname text ~load =
+  mkdir_p dir;
+  incr stage_counter;
+  let stage =
+    Filename.concat dir
+      (Printf.sprintf "stage-%d-%d" (Unix.getpid ()) !stage_counter)
+  in
+  mkdir_p stage;
+  let staged ext = Filename.concat stage (modname ^ ext) in
+  let final ext = Filename.concat dir (modname ^ ext) in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf stage with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out (staged ".ml") in
+      output_string oc text;
+      close_out oc;
+      compile_cmxs ~incs ~src:(staged ".ml") ~out:(staged ".cmxs")
+        ~log:(final ".ml.log");
+      let loaded = load (staged ".cmxs") in
+      Out_channel.with_open_bin (digest_path (staged ".cmxs")) (fun oc ->
+          Out_channel.output_string oc (Digest.to_hex (Digest.file (staged ".cmxs"))));
+      Sys.rename (staged ".ml") (final ".ml");
+      Sys.rename (digest_path (staged ".cmxs")) (digest_path (final ".cmxs"));
+      Sys.rename (staged ".cmxs") (final ".cmxs");
+      loaded)
 
 (* ---- fallback: threaded-code specializer ----
 
@@ -1364,33 +1433,35 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
            | None -> raise (Fell_back "library .cmi directory not found")
          in
          let dir = Filename.concat (cache_dir ()) hash in
-         let modname = "elastic_jit_" ^ String.sub hash 0 12 in
-         let cmxs = Filename.concat dir (modname ^ ".cmxs") in
+         let modname = kernel_module hash in
+         let cmxs = kernel_path ~hash in
          let compile_fresh () =
-           mkdir_p dir;
-           let src = Filename.concat dir (modname ^ ".ml") in
            let text = generate_module base plan ~hash in
-           let oc = open_out src in
-           output_string oc text;
-           close_out oc;
            let t1 = now () in
-           compile_cmxs ~incs ~src ~out:cmxs;
-           let t2 = now () in
-           let m = load_cmxs cmxs in
+           let t2 = ref t1 in
+           let m =
+             build_cmxs ~incs ~dir ~modname text ~load:(fun path ->
+                 t2 := now ();
+                 load_cmxs path)
+           in
+           let t2 = !t2 in
            Hashtbl.replace loaded hash m;
            finish Native m ~process_hit:false ~disk_hit:false ~cg:(t1 -. t0)
              ~cc:(t2 -. t1)
          in
          if Sys.file_exists cmxs then begin
-           match load_cmxs cmxs with
+           match
+             if verified cmxs then load_cmxs cmxs
+             else raise (Fell_back "kernel does not match its recorded digest")
+           with
            | m ->
              incr disk_hits;
              Hashtbl.replace loaded hash m;
              finish Native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
            | exception Fell_back _ ->
              (* Corrupt or stale entry (the interface fingerprint in
-                the key makes this rare): rebuild it in place. *)
-             (try Sys.remove cmxs with Sys_error _ -> ());
+                the key makes this rare): rebuild it; the rename
+                replaces the bad file atomically. *)
              incr disk_misses;
              compile_fresh ()
          end
@@ -1409,15 +1480,23 @@ let mode_of_stats () =
   | Some { bmode; _ } -> bmode
   | None -> Fallback "no build yet"
 
+(* Kernel acquisition touches process-wide state — the lazy toolchain
+   probes, the kernel tables, the cache counters, [Dynlink] — so
+   simulators created on several domains at once take it in turn. *)
+let acquire_lock = Mutex.create ()
+
 let create circuit =
   let base = Sim_compiled.create circuit in
   let plan = build_plan base circuit in
-  let hash =
-    Digest.to_hex
-      (Digest.string (canonical_hash plan ^ Lazy.force iface_fingerprint))
+  let maker, mode =
+    Mutex.protect acquire_lock (fun () ->
+        let hash =
+          Digest.to_hex
+            (Digest.string (canonical_hash plan ^ Lazy.force iface_fingerprint))
+        in
+        let maker = obtain_maker base plan ~hash in
+        (maker, mode_of_stats ()))
   in
-  let maker = obtain_maker base plan ~hash in
-  let mode = mode_of_stats () in
   (* Per-instance closure table, in the same schedule order the
      codegen assigned indices. *)
   let wide = Array.make (max 1 plan.n_closures) (fun () -> ()) in
@@ -1491,11 +1570,19 @@ let cycles t n = Sim_compiled.cycles t.base n
 let cycle_no t = Sim_compiled.cycle_no t.base
 let circuit t = Sim_compiled.circuit t.base
 let on_cycle t f = Sim_compiled.on_cycle t.base (fun _ -> f t)
-let poke t nm bits = Sim_compiled.poke t.base nm bits
-let poke_int t nm n = Sim_compiled.poke_int t.base nm n
-let peek t nm = Sim_compiled.peek t.base nm
-let peek_int t nm = Sim_compiled.peek_int t.base nm
-let peek_bool t nm = Sim_compiled.peek_bool t.base nm
+
+(* Ports are the compiled backend's slots: every node a name resolves
+   to is materialized by the plan, so its slot is always written. *)
+type port = Sim_compiled.port
+
+let input_port ?op t nm = Sim_compiled.input_port ?op t.base nm
+let signal_port ?op t nm = Sim_compiled.signal_port ?op t.base nm
+let port_name = Sim_compiled.port_name
+let port_width = Sim_compiled.port_width
+let read t p = Sim_compiled.read t.base p
+let read_int t p = Sim_compiled.read_int t.base p
+let write t p v = Sim_compiled.write t.base p v
+let write_int t p n = Sim_compiled.write_int t.base p n
 
 let peek_signal t (s : Signal.t) =
   let r = J.resolve s in

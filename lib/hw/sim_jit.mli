@@ -111,3 +111,11 @@ val clear_process_cache : unit -> unit
 
 val clear_disk_cache : unit -> unit
 (** Recursively delete {!cache_dir}. *)
+
+val kernel_path : hash:string -> string
+(** Where the disk cache keeps the compiled kernel of a netlist
+    [hash] (see {!build_stats}).  A kernel is compiled under a private
+    name in its cache entry and renamed onto this path, next to a
+    digest of its bytes that every load checks first, so processes
+    sharing {!cache_dir} never load a partial kernel; an entry that
+    fails the check or the load is rebuilt and atomically replaced. *)

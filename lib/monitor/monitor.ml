@@ -65,10 +65,37 @@ let reporter t =
         { checker; cycle; channel; thread; expected; actual } :: t.violations
     else t.suppressed <- t.suppressed + 1
 
-let fired_threads v threads =
-  List.filter_map
-    (fun i -> if Bits.bit v i then Some i else None)
-    (List.init threads (fun i -> i))
+(* Every checker resolves its signals to sampler slots at attach time,
+   so its per-cycle listener is bit tests on ints: no name building, no
+   table lookup, no allocation.  Report strings (and the vectors they
+   print) are only built on the violation path. *)
+let slot t name = Hw.Sampler.watch t.sampler name
+
+(* Threads [0, n) as a bit mask. *)
+let thread_mask n = if n <= 0 then 0 else (1 lsl n) - 1
+
+(* A data word as last sampled, kept without allocating: the int of a
+   narrow slot, the stored vector of a wide one. *)
+type word = {
+  w_slot : Hw.Sampler.slot;
+  mutable w_int : int;
+  mutable w_bits : Bits.t;
+}
+
+let word s = { w_slot = s; w_int = 0; w_bits = Bits.zero 1 }
+
+let save w =
+  if Hw.Sampler.is_narrow w.w_slot then w.w_int <- Hw.Sampler.value_int w.w_slot
+  else w.w_bits <- Hw.Sampler.value w.w_slot
+
+let unchanged w =
+  if Hw.Sampler.is_narrow w.w_slot then w.w_int = Hw.Sampler.value_int w.w_slot
+  else Bits.equal w.w_bits (Hw.Sampler.value w.w_slot)
+
+let saved w =
+  if Hw.Sampler.is_narrow w.w_slot then
+    Bits.of_int ~width:(Hw.Sampler.width w.w_slot) w.w_int
+  else w.w_bits
 
 (* ---- (a) one-hot valid ---- *)
 
@@ -78,17 +105,14 @@ let fired_threads v threads =
    profile — attaching a monitor also yields activity statistics. *)
 let check_one_hot t ~name ~threads =
   Melastic.Profile.watch_channel t.profile ~name ~threads;
+  let valid = slot t (Melastic.Names.valid name) in
+  let mask = thread_mask threads in
   let report = reporter t in
-  Melastic.Profile.on_sample t.profile (fun p ->
-      let v = Melastic.Profile.cycle_valid p name in
-      let asserted = ref 0 in
-      for i = 0 to threads - 1 do
-        if Bits.bit v i then incr asserted
-      done;
-      if !asserted > 1 then
-        report ~checker:"one-hot" ~cycle:(Melastic.Profile.cycle p) ~channel:name
+  Melastic.Profile.on_sample t.profile (fun _ ->
+      if Bits.popcount_int (Hw.Sampler.value_int valid land mask) > 1 then
+        report ~checker:"one-hot" ~cycle:(Hw.Sampler.cycle t.sampler) ~channel:name
           ~expected:"at most one valid(i) asserted"
-          ~actual:("valid = 0b" ^ Bits.to_binary_string v)
+          ~actual:("valid = 0b" ^ Bits.to_binary_string (Hw.Sampler.value valid))
           ())
 
 (* ---- (b) persistence / data stability under stall ---- *)
@@ -107,37 +131,45 @@ let check_one_hot t ~name ~threads =
    checkable. *)
 let check_stability ?(strict = false) ?(gated = false) t ~name ~threads =
   Melastic.Profile.watch_channel ~data:true t.profile ~name ~threads;
+  let valid = slot t (Melastic.Names.valid name) in
+  let ready = slot t (Melastic.Names.ready name) in
+  let data = word (slot t (Melastic.Names.data name)) in
+  let mask = thread_mask threads in
   let report = reporter t in
-  let prev = ref None in
-  Melastic.Profile.on_sample t.profile (fun p ->
-      let v = Melastic.Profile.cycle_valid p name in
-      let r = Melastic.Profile.cycle_ready p name in
-      let d = Melastic.Profile.cycle_data p name in
-      let cycle = Melastic.Profile.cycle p in
-      (match !prev with
-       | None -> ()
-       | Some (pv, pr, pd) ->
-         for i = 0 to threads - 1 do
-           if Bits.bit pv i && not (Bits.bit pr i) then
-             (* Thread [i] was stalled last cycle. *)
-             if Bits.bit v i then begin
-               if not (Bits.equal d pd) then
-                 report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                   ~expected:("stable data 0x" ^ Bits.to_hex_string pd)
-                   ~actual:("data changed to 0x" ^ Bits.to_hex_string d)
-                   ()
-             end
-             else if strict then
-               report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                 ~expected:"valid(i) persists until ready(i)"
-                 ~actual:"valid retracted while stalled" ()
-             else if (not gated) && Bits.is_zero v then
-               report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                 ~expected:"stalled valid persists or another thread is granted"
-                 ~actual:"all valids dropped with the token still untransferred"
-                 ()
-         done);
-      prev := Some (v, r, d))
+  let sampled = ref false in
+  let prev_valid = ref 0 and prev_ready = ref 0 in
+  Melastic.Profile.on_sample t.profile (fun _ ->
+      let v = Hw.Sampler.value_int valid in
+      (* Threads stalled last cycle. *)
+      let stalled = !prev_valid land lnot !prev_ready land mask in
+      if !sampled && stalled <> 0 then begin
+        let cycle = Hw.Sampler.cycle t.sampler in
+        for i = 0 to threads - 1 do
+          if stalled land (1 lsl i) <> 0 then
+            if v land (1 lsl i) <> 0 then begin
+              if not (unchanged data) then
+                report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                  ~expected:("stable data 0x" ^ Bits.to_hex_string (saved data))
+                  ~actual:
+                    ("data changed to 0x"
+                    ^ Bits.to_hex_string (Hw.Sampler.value data.w_slot))
+                  ()
+            end
+            else if strict then
+              report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                ~expected:"valid(i) persists until ready(i)"
+                ~actual:"valid retracted while stalled" ()
+            else if (not gated) && v = 0 then
+              report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                ~expected:"stalled valid persists or another thread is granted"
+                ~actual:"all valids dropped with the token still untransferred"
+                ()
+        done
+      end;
+      sampled := true;
+      prev_valid := v;
+      prev_ready := Hw.Sampler.value_int ready;
+      save data)
 
 (* ---- (c) per-thread token conservation scoreboard ---- *)
 
@@ -147,54 +179,67 @@ let check_stability ?(strict = false) ?(gated = false) t ~name ~threads =
    reference function — identity for plain buffer pipelines, the RFC
    1321 compression for MD5, ...).  [max_in_flight] cross-checks the
    outstanding-token count against the slot capacity of the buffers
-   between the probes (see [Meb.capacity]). *)
+   between the probes (see [Meb.capacity]).  Without [compare_data]
+   the scoreboard only counts: source data is neither read nor
+   transformed. *)
 let check_conservation ?transform ?(compare_data = true) ?max_in_flight
     ?(expect_drained = false) t ~src ~snk ~threads =
   let transform = match transform with Some f -> f | None -> fun b -> b in
   Melastic.Profile.watch_channel ~data:true t.profile ~name:src ~threads;
   Melastic.Profile.watch_channel ~data:true t.profile ~name:snk ~threads;
+  let src_fire = slot t (Melastic.Names.fire src) in
+  let src_data = slot t (Melastic.Names.data src) in
+  let snk_fire = slot t (Melastic.Names.fire snk) in
+  let snk_data = slot t (Melastic.Names.data snk) in
   let report = reporter t in
   let channel = src ^ "->" ^ snk in
   let queues = Array.init threads (fun _ -> Queue.create ()) in
+  let outstanding = ref 0 in
   let over_bound = ref false in
-  Melastic.Profile.on_sample t.profile (fun p ->
-      let cycle = Melastic.Profile.cycle p in
-      let sf = Melastic.Profile.cycle_fire p src in
-      let sd = Melastic.Profile.cycle_data p src in
-      List.iter
-        (fun i -> Queue.add (transform sd) queues.(i))
-        (fired_threads sf threads);
-      let kf = Melastic.Profile.cycle_fire p snk in
-      let kd = Melastic.Profile.cycle_data p snk in
-      List.iter
-        (fun i ->
-          if Queue.is_empty queues.(i) then
-            report ~checker:"conservation" ~cycle ~channel ~thread:i
-              ~expected:"every sink token matches an outstanding source token"
-              ~actual:"token delivered with an empty scoreboard (duplication)"
-              ()
-          else begin
-            let expected = Queue.pop queues.(i) in
-            if compare_data && not (Bits.equal kd expected) then
+  let uncompared = Bits.zero 1 in
+  Melastic.Profile.on_sample t.profile (fun _ ->
+      let cycle = Hw.Sampler.cycle t.sampler in
+      let sf = Hw.Sampler.value_int src_fire in
+      if sf <> 0 then begin
+        let sd = if compare_data then Hw.Sampler.value src_data else uncompared in
+        for i = 0 to threads - 1 do
+          if sf land (1 lsl i) <> 0 then begin
+            Queue.add (if compare_data then transform sd else uncompared) queues.(i);
+            incr outstanding
+          end
+        done
+      end;
+      let kf = Hw.Sampler.value_int snk_fire in
+      if kf <> 0 then begin
+        let kd = if compare_data then Hw.Sampler.value snk_data else uncompared in
+        for i = 0 to threads - 1 do
+          if kf land (1 lsl i) <> 0 then
+            if Queue.is_empty queues.(i) then
               report ~checker:"conservation" ~cycle ~channel ~thread:i
-                ~expected:("0x" ^ Bits.to_hex_string expected ^ " (FIFO order)")
-                ~actual:("0x" ^ Bits.to_hex_string kd)
+                ~expected:"every sink token matches an outstanding source token"
+                ~actual:"token delivered with an empty scoreboard (duplication)"
                 ()
-          end)
-        (fired_threads kf threads);
+            else begin
+              let expected = Queue.pop queues.(i) in
+              decr outstanding;
+              if compare_data && not (Bits.equal kd expected) then
+                report ~checker:"conservation" ~cycle ~channel ~thread:i
+                  ~expected:("0x" ^ Bits.to_hex_string expected ^ " (FIFO order)")
+                  ~actual:("0x" ^ Bits.to_hex_string kd)
+                  ()
+            end
+        done
+      end;
       match max_in_flight with
       | Some bound ->
-        let outstanding =
-          Array.fold_left (fun acc q -> acc + Queue.length q) 0 queues
-        in
-        if outstanding > bound then begin
+        if !outstanding > bound then begin
           (* Report once per excursion above the bound, not per cycle. *)
           if not !over_bound then
             report ~checker:"conservation" ~cycle ~channel
               ~expected:
                 (Printf.sprintf "at most %d tokens in flight (buffer capacity)"
                    bound)
-              ~actual:(Printf.sprintf "%d outstanding" outstanding)
+              ~actual:(Printf.sprintf "%d outstanding" !outstanding)
               ();
           over_bound := true
         end
@@ -227,24 +272,25 @@ let check_watchdog ?(timeout = 1000) ?starvation_timeout ?thread_pending
   List.iter
     (fun name -> Melastic.Profile.watch_channel t.profile ~name ~threads)
     channels;
+  let fires =
+    Array.of_list
+      (List.map (fun name -> slot t (Melastic.Names.fire name)) channels)
+  in
   let report = reporter t in
   let channel = String.concat "," channels in
   let last_any = ref (-1) in
   let last_thread = Array.make threads (-1) in
-  Melastic.Profile.on_sample t.profile (fun p ->
-      let cycle = Melastic.Profile.cycle p in
-      let any = ref false in
-      List.iter
-        (fun name ->
-          let v = Melastic.Profile.cycle_fire p name in
-          if not (Bits.is_zero v) then begin
-            any := true;
-            for i = 0 to threads - 1 do
-              if Bits.bit v i then last_thread.(i) <- cycle
-            done
-          end)
-        channels;
-      if !any then last_any := cycle;
+  Melastic.Profile.on_sample t.profile (fun _ ->
+      let cycle = Hw.Sampler.cycle t.sampler in
+      for k = 0 to Array.length fires - 1 do
+        let v = Hw.Sampler.value_int fires.(k) in
+        if v <> 0 then begin
+          last_any := cycle;
+          for i = 0 to threads - 1 do
+            if v land (1 lsl i) <> 0 then last_thread.(i) <- cycle
+          done
+        end
+      done;
       if cycle - !last_any >= timeout && pending () then begin
         report ~checker:"watchdog" ~cycle ~channel
           ~expected:
@@ -281,18 +327,19 @@ let check_barrier ?(timeout = 1000) ?participants t ~name ~threads =
   let participates =
     match participants with None -> Array.make threads true | Some p -> p
   in
-  let state_name i = Melastic.Names.state name i in
-  Array.iteri
-    (fun i p -> if p then Hw.Sampler.watch t.sampler (state_name i))
-    participates;
+  let states =
+    Array.mapi
+      (fun i p -> if p then Some (slot t (Melastic.Names.state name i)) else None)
+      participates
+  in
   let report = reporter t in
   let entered = Array.make threads (-1) in
   Hw.Sampler.on_sample t.sampler (fun smp ->
       let cycle = Hw.Sampler.cycle smp in
       for i = 0 to threads - 1 do
-        if participates.(i) then begin
-          let st = Hw.Sampler.value_int smp (state_name i) in
-          if st = Melastic.Barrier.state_wait then begin
+        match states.(i) with
+        | Some st ->
+          if Hw.Sampler.value_int st = Melastic.Barrier.state_wait then begin
             if entered.(i) < 0 then entered.(i) <- cycle
             else if cycle - entered.(i) >= timeout then begin
               report ~checker:"barrier" ~cycle ~channel:name ~thread:i
@@ -306,7 +353,7 @@ let check_barrier ?(timeout = 1000) ?participants t ~name ~threads =
             end
           end
           else entered.(i) <- -1
-        end
+        | None -> ()
       done)
 
 (* ---- results ---- *)

@@ -499,6 +499,12 @@ module Driver = struct
     mon : Monitor.t option;
     queues : (int * int) Queue.t array;  (* per source: (dst, payload) *)
     mutable hw_in_flight : int;
+    (* Terminal handshake ports, resolved once, indexed by terminal. *)
+    inj_valid : Hw.Sim.port array;
+    inj_ready : Hw.Sim.port array;
+    inj_data : Hw.Sim.port array;
+    ej_fire : Hw.Sim.port array;
+    ej_data : Hw.Sim.port array;
   }
 
   let create ?backend ?(kind = Melastic.Meb.Reduced)
@@ -548,6 +554,7 @@ module Driver = struct
     for t = 0 to threads - 1 do
       Hw.Sim.poke sim (Names.ready (ej t)) (Bits.ones threads)
     done;
+    let ports port name = Array.init threads (fun t -> port sim (name t)) in
     { plan = p;
       payload_width;
       dest_w = dest_width p;
@@ -555,7 +562,12 @@ module Driver = struct
       sim;
       mon;
       queues = Array.init threads (fun _ -> Queue.create ());
-      hw_in_flight = 0 }
+      hw_in_flight = 0;
+      inj_valid = ports Hw.Sim.input_port (fun t -> Names.valid (inj t));
+      inj_ready = ports Hw.Sim.signal_port (fun t -> Names.ready (inj t));
+      inj_data = ports Hw.Sim.input_port (fun t -> Names.data (inj t));
+      ej_fire = ports Hw.Sim.signal_port (fun t -> Names.fire (ej t));
+      ej_data = ports Hw.Sim.signal_port (fun t -> Names.data (ej t)) }
 
   let plan t = t.plan
   let terminals t = t.plan.n_terminals
@@ -584,17 +596,15 @@ module Driver = struct
   let step t =
     let threads = t.plan.n_terminals in
     for s = 0 to threads - 1 do
-      Hw.Sim.poke t.sim (Names.valid (inj s)) (Bits.zero threads)
+      Hw.Sim.write_int t.inj_valid.(s) 0
     done;
     Hw.Sim.settle t.sim;
     for s = 0 to threads - 1 do
       if not (Queue.is_empty t.queues.(s)) then begin
-        let ready = Hw.Sim.peek t.sim (Names.ready (inj s)) in
-        if Bits.bit ready s then begin
+        if Hw.Sim.read_int t.inj_ready.(s) land (1 lsl s) <> 0 then begin
           let dst, payload = Queue.pop t.queues.(s) in
-          Hw.Sim.poke t.sim (Names.valid (inj s))
-            (Bits.set_bit (Bits.zero threads) s true);
-          Hw.Sim.poke t.sim (Names.data (inj s))
+          Hw.Sim.write_int t.inj_valid.(s) (1 lsl s);
+          Hw.Sim.write t.inj_data.(s)
             (Bits.of_int ~width:t.width ((payload lsl t.dest_w) lor dst));
           t.hw_in_flight <- t.hw_in_flight + 1
         end
@@ -603,10 +613,10 @@ module Driver = struct
     Hw.Sim.settle t.sim;
     let out = ref [] in
     for term = threads - 1 downto 0 do
-      let fire = Hw.Sim.peek t.sim (Names.fire (ej term)) in
+      let fire = Hw.Sim.read_int t.ej_fire.(term) in
       for s = threads - 1 downto 0 do
-        if Bits.bit fire s then begin
-          let data = Bits.to_int (Hw.Sim.peek t.sim (Names.data (ej term))) in
+        if fire land (1 lsl s) <> 0 then begin
+          let data = Hw.Sim.read_int t.ej_data.(term) in
           out := (term, s, data lsr t.dest_w) :: !out;
           t.hw_in_flight <- t.hw_in_flight - 1
         end

@@ -23,9 +23,9 @@ let dmem_base_reg = Cpu.Isa.num_regs - 1
 
 type slot_state = Free | Launching | Running | Draining
 
-let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
-    ?(imem_size = 1024) ?(dmem_size = 1024) () _index :
-    (job, result) Engine.replica =
+let make_monitored ?(kind = Melastic.Meb.Reduced) ?(monitor = false)
+    ?(slots = 4) ?(imem_size = 1024) ?(dmem_size = 1024) () _index :
+    (job, result) Engine.replica * Monitor.t option =
   let config =
     { (Cpu.Mt_pipeline.default_config ~threads:slots) with
       Cpu.Mt_pipeline.kind;
@@ -57,30 +57,34 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
   let pending_restart : (int * int) Queue.t = Queue.create () in
   let pulsing = ref None in
   let completions = ref [] in
-  let halted_bit i = Bits.bit (Hw.Sim.peek sim "halted_vec") i in
-  let busy_bit i = Bits.bit (Hw.Sim.peek sim "busy_vec") i in
+  let restart = Hw.Sim.input_port sim "restart" in
+  let kill = Hw.Sim.input_port sim "kill" in
+  let restart_pc = Hw.Sim.input_port sim "restart_pc" in
+  let halted_vec = Hw.Sim.signal_port sim "halted_vec" in
+  let busy_vec = Hw.Sim.signal_port sim "busy_vec" in
   let step () =
-    (* Drop last cycle's pulses before raising this cycle's. *)
-    Hw.Sim.poke_int sim "restart" 0;
-    Hw.Sim.poke_int sim "kill" 0;
-    let kill_mask = ref (Bits.zero slots) in
-    let any_kill = ref false in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          kill_pending.(i) <- false;
-          any_kill := true;
-          kill_mask := Bits.set_bit !kill_mask i true
-        end)
-      kill_pending;
-    if !any_kill then Hw.Sim.poke sim "kill" !kill_mask;
+    (* Drop last cycle's pulses before raising this cycle's.  Port
+       writes only dirty the circuit on a change, so the idle case
+       costs no settle. *)
+    Hw.Sim.write_int restart 0;
+    Hw.Sim.write_int kill 0;
+    let kill_mask = ref 0 in
+    for i = 0 to slots - 1 do
+      if kill_pending.(i) then begin
+        kill_pending.(i) <- false;
+        kill_mask := !kill_mask lor (1 lsl i)
+      end
+    done;
+    if !kill_mask <> 0 then Hw.Sim.write_int kill !kill_mask;
     (* One restart per cycle (restart_pc is shared), and only once the
        thread is halted with no instruction in flight. *)
     (match Queue.peek_opt pending_restart with
-     | Some (slot, base) when halted_bit slot && not (busy_bit slot) ->
+     | Some (slot, base)
+       when Hw.Sim.read_int halted_vec land (1 lsl slot) <> 0
+            && Hw.Sim.read_int busy_vec land (1 lsl slot) = 0 ->
        ignore (Queue.pop pending_restart);
-       Hw.Sim.poke sim "restart" (Bits.set_bit (Bits.zero slots) slot true);
-       Hw.Sim.poke_int sim "restart_pc" base;
+       Hw.Sim.write_int restart (1 lsl slot);
+       Hw.Sim.write_int restart_pc base;
        pulsing := Some slot
      | _ -> ());
     Hw.Sim.cycle sim;
@@ -89,9 +93,11 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
        state.(slot) <- Running;
        pulsing := None
      | None -> ());
+    let halted = Hw.Sim.read_int halted_vec in
+    let busy = Hw.Sim.read_int busy_vec in
     for i = 0 to slots - 1 do
       match state.(i) with
-      | Running when halted_bit i ->
+      | Running when halted land (1 lsl i) <> 0 ->
         let regs =
           Array.init Cpu.Isa.num_regs (fun r ->
               if r = 0 then 0
@@ -99,11 +105,11 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
         in
         completions := (i, regs) :: !completions;
         state.(i) <- Free
-      | Draining when not (busy_bit i) -> state.(i) <- Free
+      | Draining when busy land (1 lsl i) = 0 -> state.(i) <- Free
       | _ -> ()
     done
   in
-  { Engine.slots;
+  ( { Engine.slots;
     slot_free = (fun i -> state.(i) = Free);
     start =
       (fun ~slot job ->
@@ -177,7 +183,11 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
         done;
         match mon with Some m -> Monitor.finalize m | None -> ());
     violations =
-      (fun () -> match mon with Some m -> Monitor.violation_count m | None -> 0) }
+      (fun () -> match mon with Some m -> Monitor.violation_count m | None -> 0) },
+    mon )
+
+let make ?kind ?monitor ?slots ?imem_size ?dmem_size () index =
+  fst (make_monitored ?kind ?monitor ?slots ?imem_size ?dmem_size () index)
 
 let monitored_probes = [ "cpu_fetch"; "cpu_mem"; "cpu_wb" ]
 

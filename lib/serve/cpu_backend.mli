@@ -57,3 +57,16 @@ val make :
     checkers on the pipeline's probed channels.  [start] raises
     {!Cpu.Asm.Error} on bad assembly and [Invalid_argument] when the
     program overflows the slot's imem region. *)
+
+val make_monitored :
+  ?kind:Melastic.Meb.kind ->
+  ?monitor:bool ->
+  ?slots:int ->
+  ?imem_size:int ->
+  ?dmem_size:int ->
+  unit ->
+  int ->
+  (job, result) Engine.replica * Monitor.t option
+(** {!make}, also returning the replica's monitor when [monitor] is
+    set — for callers that want its report or channel profile rather
+    than just the violation count. *)

@@ -38,8 +38,11 @@ type ('job, 'res) t = {
   classes : class_config array;
   replica : ('job, 'res) Backend_intf.replica;
   queues : 'job queued Queue.t array;
+  mutable queued_deadlines : int; (* queued entries that carry a deadline *)
   running : 'job queued option array;
   profile : Melastic.Profile.t;
+  busy_gauge : Melastic.Histogram.t;
+  queue_depth_gauge : Melastic.Histogram.t;
   mutable rr_cls : int;
   mutable steps : int;
   mutable retries : int;
@@ -52,11 +55,15 @@ let create ?(classes = [ default_class ]) replica =
       if c.capacity < 1 then invalid_arg "Host.create: class capacity < 1")
     classes;
   let classes = Array.of_list classes in
+  let profile = Melastic.Profile.create () in
   { classes;
     replica;
     queues = Array.map (fun _ -> Queue.create ()) classes;
+    queued_deadlines = 0;
     running = Array.make replica.slots None;
-    profile = Melastic.Profile.create ();
+    profile;
+    busy_gauge = Melastic.Profile.gauge_hist profile gauge_busy;
+    queue_depth_gauge = Melastic.Profile.gauge_hist profile gauge_queue_depth;
     rr_cls = 0;
     steps = 0;
     retries = 0 }
@@ -76,20 +83,26 @@ let class_index t name =
 let slots t = t.replica.slots
 
 let busy_slots t =
-  Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.running
+  Array.fold_left (fun n s -> match s with None -> n | Some _ -> n + 1) 0 t.running
 
 let cycle_no t = t.replica.cycle_no ()
 
 let queue_depth t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
 
+(* Every entry enters a queue through [enqueue] and leaves through
+   [dequeued], which keeps [queued_deadlines] exact. *)
 let enqueue t entry =
   let q = t.queues.(entry.q_cls) in
   if Queue.length q >= t.classes.(entry.q_cls).capacity then false
   else begin
     Queue.add entry q;
+    if Option.is_some entry.q_deadline then t.queued_deadlines <- t.queued_deadlines + 1;
     true
   end
+
+let dequeued t entry =
+  if Option.is_some entry.q_deadline then t.queued_deadlines <- t.queued_deadlines - 1
 
 let admit ?(cls = 0) ?deadline ?(retries = 0) t ~id ~arrival payload =
   if cls < 0 || cls >= Array.length t.classes then
@@ -127,7 +140,11 @@ let steal t =
     let taken = ref None in
     for i = 1 to n do
       let e = Queue.pop q in
-      if i = n then taken := Some e else Queue.add e q
+      if i = n then begin
+        dequeued t e;
+        taken := Some e
+      end
+      else Queue.add e q
     done;
     !taken
   end
@@ -138,7 +155,11 @@ let complete_external t ~id =
     (fun q ->
       for _ = 1 to Queue.length q do
         let e = Queue.pop q in
-        if e.q_id = id then found := true else Queue.add e q
+        if e.q_id = id then begin
+          dequeued t e;
+          found := true
+        end
+        else Queue.add e q
       done)
     t.queues;
   !found
@@ -168,7 +189,9 @@ let pick t =
       if Queue.is_empty t.queues.(ci) then go (k + 1)
       else begin
         t.rr_cls <- (ci + 1) mod nc;
-        Some (Queue.pop t.queues.(ci))
+        let e = Queue.pop t.queues.(ci) in
+        dequeued t e;
+        Some e
       end
   in
   go 0
@@ -177,21 +200,28 @@ let step t =
   let events = ref [] in
   let now = t.replica.cycle_no () in
   (* 1. queued-deadline expiry (whole queue, not just the head: a deep
-     queue must not hide an expired entry behind fresh ones) *)
-  Array.iter
-    (fun q ->
-      for _ = 1 to Queue.length q do
-        let e = Queue.pop q in
-        if expired now e then expire t now e events else Queue.add e q
-      done)
-    t.queues;
+     queue must not hide an expired entry behind fresh ones).  With no
+     deadline-bearing entry queued nothing can expire, and the rotation
+     would be the identity. *)
+  if t.queued_deadlines > 0 then
+    Array.iter
+      (fun q ->
+        for _ = 1 to Queue.length q do
+          let e = Queue.pop q in
+          if expired now e then begin
+            dequeued t e;
+            expire t now e events
+          end
+          else Queue.add e q
+        done)
+      t.queues;
   (* Arrival-instant gauge sample: the backlog as refill sees it, so a
      job that transits the queue within this very cycle (a fresh
      arrival, a retry re-admission) still registers. *)
   let qd_at_refill = queue_depth t in
   (* 2. refill free slots from the queues *)
   for s = 0 to t.replica.slots - 1 do
-    if t.running.(s) = None && t.replica.slot_free s then
+    if Option.is_none t.running.(s) && t.replica.slot_free s then
       match pick t with
       | Some e ->
         t.replica.start ~slot:s e.q_payload;
@@ -209,9 +239,8 @@ let step t =
       | _ -> ())
     t.running;
   (* 4. metrics: occupancy, and the peak backlog seen this cycle *)
-  Melastic.Profile.observe t.profile gauge_busy (busy_slots t);
-  Melastic.Profile.observe t.profile gauge_queue_depth
-    (max qd_at_refill (queue_depth t));
+  Melastic.Histogram.add t.busy_gauge (busy_slots t);
+  Melastic.Histogram.add t.queue_depth_gauge (max qd_at_refill (queue_depth t));
   (* 5. one cycle of the design *)
   t.replica.step ();
   t.steps <- t.steps + 1;
@@ -251,12 +280,10 @@ type metrics = {
 (* Derived from the profile gauges: a histogram's sum and max are
    exact, so these are bit-identical to the former plain counters. *)
 let metrics t =
-  let busy = Melastic.Profile.gauge_hist t.profile gauge_busy in
-  let qd = Melastic.Profile.gauge_hist t.profile gauge_queue_depth in
   { m_steps = t.steps;
-    m_busy_slot_cycles = Melastic.Histogram.sum busy;
-    m_queue_depth_sum = Melastic.Histogram.sum qd;
-    m_queue_depth_max = Melastic.Histogram.max_value qd;
+    m_busy_slot_cycles = Melastic.Histogram.sum t.busy_gauge;
+    m_queue_depth_sum = Melastic.Histogram.sum t.queue_depth_gauge;
+    m_queue_depth_max = Melastic.Histogram.max_value t.queue_depth_gauge;
     m_retries = t.retries }
 
 let finish t = t.replica.finish ()

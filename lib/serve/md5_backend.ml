@@ -24,7 +24,7 @@ type busy = {
 
 type slot_state = Free | Busy of busy
 
-let dummy_input () =
+let dummy_input =
   Md5.Md5_circuit.input_bits
     ~block:(Bits.zero Md5.Md5_circuit.block_width)
     ~iv:(Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv)
@@ -67,6 +67,13 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
   let inj_window = Array.make slots (-1) in
   let inject_ptr = ref 0 in
   let completions = ref [] in
+  (* Every signal the per-cycle step touches, resolved once. *)
+  let msg_valid = Hw.Sim.input_port sim (Melastic.Names.valid "msg") in
+  let msg_data = Hw.Sim.input_port sim (Melastic.Names.data "msg") in
+  let msg_ready = Hw.Sim.signal_port sim (Melastic.Names.ready "msg") in
+  let digest_fire = Hw.Sim.signal_port sim (Melastic.Names.fire "digest") in
+  let digest_data = Hw.Sim.signal_port sim (Melastic.Names.data "digest") in
+  let round_counter = Hw.Sim.signal_port sim "round_counter" in
   Hw.Sim.poke sim (Melastic.Names.ready "digest") (Bits.ones slots);
   let real_pending i =
     match slot.(i) with
@@ -87,59 +94,61 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
   in
   let step () =
     (* Clear valids, settle, observe which threads could enter. *)
-    Hw.Sim.poke sim (Melastic.Names.valid "msg") (Bits.zero slots);
+    Hw.Sim.write_int msg_valid 0;
     Hw.Sim.settle sim;
-    let ready = Hw.Sim.peek sim (Melastic.Names.ready "msg") in
+    let ready = Hw.Sim.read_int msg_ready in
     (* Round-robin: one injection per cycle at most. *)
-    let chosen = ref None in
+    let chosen = ref (-1) in
     for k = 0 to slots - 1 do
       let i = (!inject_ptr + k) mod slots in
-      if !chosen = None && Bits.bit ready i
+      if !chosen < 0 && ready land (1 lsl i) <> 0
          && (real_pending i || fresh_elsewhere i)
-      then chosen := Some i
+      then chosen := i
     done;
-    (match !chosen with
-     | Some i ->
-       let data =
-         match slot.(i) with
-         | Busy b when (not b.cancelled) && not b.injected ->
-           b.injected <- true;
-           Md5.Md5_circuit.input_bits
-             ~block:(Md5.Md5_ref.block_to_bits (List.hd b.blocks))
-             ~iv:b.chain
-         | _ -> dummy_input ()
-       in
-       Hw.Sim.poke sim (Melastic.Names.valid "msg") (Bits.set_bit (Bits.zero slots) i true);
-       Hw.Sim.poke sim (Melastic.Names.data "msg") data;
-       hw_busy.(i) <- true;
-       inj_window.(i) <- !window;
-       inject_ptr := (i + 1) mod slots
-     | None -> ());
-    Hw.Sim.settle sim;
-    let fire = Hw.Sim.peek sim (Melastic.Names.fire "digest") in
-    let digest = Hw.Sim.peek sim (Melastic.Names.data "digest") in
-    for i = 0 to slots - 1 do
-      if Bits.bit fire i then begin
-        hw_busy.(i) <- false;
+    if !chosen >= 0 then begin
+      let i = !chosen in
+      let data =
         match slot.(i) with
-        | Busy b when b.injected ->
-          if b.cancelled then slot.(i) <- Free
-          else begin
-            b.chain <- digest;
-            b.blocks <- List.tl b.blocks;
-            b.injected <- false;
-            if b.blocks = [] then begin
-              completions :=
-                (i, Md5.Md5_ref.to_hex (Md5.Md5_ref.state_of_bits digest))
-                :: !completions;
-              slot.(i) <- Free
+        | Busy b when (not b.cancelled) && not b.injected ->
+          b.injected <- true;
+          Md5.Md5_circuit.input_bits
+            ~block:(Md5.Md5_ref.block_to_bits (List.hd b.blocks))
+            ~iv:b.chain
+        | _ -> dummy_input
+      in
+      Hw.Sim.write_int msg_valid (1 lsl i);
+      Hw.Sim.write msg_data data;
+      hw_busy.(i) <- true;
+      inj_window.(i) <- !window;
+      inject_ptr := (i + 1) mod slots
+    end;
+    Hw.Sim.settle sim;
+    let fire = Hw.Sim.read_int digest_fire in
+    if fire <> 0 then begin
+      let digest = Hw.Sim.read digest_data in
+      for i = 0 to slots - 1 do
+        if fire land (1 lsl i) <> 0 then begin
+          hw_busy.(i) <- false;
+          match slot.(i) with
+          | Busy b when b.injected ->
+            if b.cancelled then slot.(i) <- Free
+            else begin
+              b.chain <- digest;
+              b.blocks <- List.tl b.blocks;
+              b.injected <- false;
+              if b.blocks = [] then begin
+                completions :=
+                  (i, Md5.Md5_ref.to_hex (Md5.Md5_ref.state_of_bits digest))
+                  :: !completions;
+                slot.(i) <- Free
+              end
             end
-          end
-        | _ -> () (* a dummy block's digest: discard *)
-      end
-    done;
+          | _ -> () (* a dummy block's digest: discard *)
+        end
+      done
+    end;
     Hw.Sim.cycle sim;
-    let c = Bits.to_int (Hw.Sim.peek sim "round_counter") in
+    let c = Hw.Sim.read_int round_counter in
     if !last_ctr <> 0 && c = 0 then incr window;
     last_ctr := c
   in

@@ -8,7 +8,12 @@
 
 type cell = { thread : int; data : Bits.t }
 
-type probe_log = { probe : string; mutable cells : (int * cell) list }
+type probe_log = {
+  probe : string;
+  fire_slot : Hw.Sampler.slot;
+  data_slot : Hw.Sampler.slot;
+  mutable cells : (int * cell) list;
+}
 
 type t = {
   sampler : Hw.Sampler.t;
@@ -18,22 +23,27 @@ type t = {
 
 let attach sim ~threads ~probes =
   let sampler = Hw.Sampler.attach sim in
-  let logs = List.map (fun p -> { probe = p; cells = [] }) probes in
-  List.iter
-    (fun p ->
-      Hw.Sampler.watch sampler (Melastic.Names.fire p);
-      Hw.Sampler.watch sampler (Melastic.Names.data p))
-    probes;
+  let logs =
+    List.map
+      (fun p ->
+        { probe = p;
+          fire_slot = Hw.Sampler.watch sampler (Melastic.Names.fire p);
+          data_slot = Hw.Sampler.watch sampler (Melastic.Names.data p);
+          cells = [] })
+      probes
+  in
   let t = { sampler; threads; logs } in
   Hw.Sampler.on_sample sampler (fun smp ->
       let c = Hw.Sampler.cycle smp in
       List.iter
         (fun log ->
-          let fire = Hw.Sampler.value smp (Melastic.Names.fire log.probe) in
-          let data = Hw.Sampler.value smp (Melastic.Names.data log.probe) in
-          for i = 0 to threads - 1 do
-            if Bits.bit fire i then log.cells <- (c, { thread = i; data }) :: log.cells
-          done)
+          let fire = Hw.Sampler.value log.fire_slot in
+          if not (Bits.is_zero fire) then begin
+            let data = Hw.Sampler.value log.data_slot in
+            for i = 0 to threads - 1 do
+              if Bits.bit fire i then log.cells <- (c, { thread = i; data }) :: log.cells
+            done
+          end)
         logs);
   t
 

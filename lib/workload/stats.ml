@@ -20,12 +20,12 @@ type t = {
 let attach sim ~signals =
   let sampler = Hw.Sampler.attach sim in
   let profile = Melastic.Profile.attach sampler in
-  List.iter (Hw.Sampler.record sampler) signals;
+  let slots = List.map (fun name -> (name, Hw.Sampler.record sampler name)) signals in
   Melastic.Profile.on_sample profile (fun p ->
       List.iter
-        (fun name ->
-          Melastic.Profile.observe p name (Hw.Sampler.value_int sampler name))
-        signals);
+        (fun (name, slot) ->
+          Melastic.Profile.observe p name (Hw.Sampler.value_int slot))
+        slots);
   { sampler; profile; signals }
 
 let profile t = t.profile

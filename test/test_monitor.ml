@@ -303,6 +303,136 @@ let test_report_budget () =
   Alcotest.(check int) "all occurrences counted" 10 (Monitor.violation_count m);
   Alcotest.(check int) "exit code" 1 (Monitor.exit_code m)
 
+(* ---- pinned reports and channel statistics ----
+
+   The exact [Monitor.summary] and [Profile.to_json] of two runs, as
+   produced before the checkers and the profile moved from by-name
+   sampling to resolved ports: any change to a report string or a
+   channel statistic fails here, on every backend. *)
+
+(* The broken 1-slot buffer again, under stability and conservation
+   checkers: thread 0 offers more tokens than thread 1, so same-thread
+   overwrites change a stalled word (stability) besides losing and
+   reordering tokens (conservation). *)
+let pinned_fault_summary = {|monitor: 8 violation(s)
+  [conservation] cycle 1, channel src->snk: expected at most 1 tokens in flight (buffer capacity); got 2 outstanding
+  [conservation] cycle 3, channel src->snk, thread 0: expected 0x0001 (FIFO order); got 0x0002
+  [stability] cycle 6, channel snk, thread 0: expected stable data 0x0003; got data changed to 0x0004
+  [conservation] cycle 6, channel src->snk, thread 0: expected 0x0002 (FIFO order); got 0x0004
+  [stability] cycle 8, channel snk, thread 0: expected stable data 0x0005; got data changed to 0x0006
+  [conservation] cycle 9, channel src->snk, thread 0: expected 0x0003 (FIFO order); got 0x0006
+  [conservation] cycle 99, channel src->snk, thread 0: expected all injected tokens delivered (drained run); got 3 token(s) lost in flight
+  [conservation] cycle 99, channel src->snk, thread 1: expected all injected tokens delivered (drained run); got 2 token(s) lost in flight
+|}
+
+let pinned_fault_profile = {|{
+  "cycles": 100,
+  "channels": [
+    {"name":"src","threads":2,"fires":8,"fires_per_thread":[6,2],"active_cycles":8,"stall_cycles":0,"backpressure_cycles":0,"idle_cycles":92,"occupancy":null},
+    {"name":"snk","threads":2,"fires":3,"fires_per_thread":[3,0],"active_cycles":3,"stall_cycles":6,"backpressure_cycles":6,"idle_cycles":91,"occupancy":null}
+  ],
+  "gauges": [
+  ]
+}
+|}
+
+let test_pinned_fault_report () =
+  List.iter
+    (fun backend ->
+      let tag = "fault " ^ Hw.Sim.backend_to_string backend in
+      let threads = 2 and width = 16 in
+      let b = S.Builder.create () in
+      let src = Mc.source b ~name:"src" ~threads ~width in
+      let out = broken_one_slot_buffer b src in
+      Mc.sink b ~name:"snk" out;
+      let sim = Hw.Sim.create ~backend (Hw.Circuit.create b) in
+      let m = Monitor.create sim in
+      List.iter (fun n -> Monitor.check_one_hot m ~name:n ~threads) [ "src"; "snk" ];
+      List.iter (fun n -> Monitor.check_stability m ~name:n ~threads) [ "src"; "snk" ];
+      Monitor.check_conservation m ~src:"src" ~snk:"snk" ~threads ~max_in_flight:1
+        ~expect_drained:true;
+      let d = Workload.Mt_driver.create sim ~src:"src" ~snk:"snk" ~threads ~width in
+      for t = 0 to threads - 1 do
+        for i = 1 to (if t = 0 then 6 else 2) do
+          Workload.Mt_driver.push_int d ~thread:t ((100 * t) + i)
+        done
+      done;
+      Workload.Mt_driver.set_sink_ready d (fun c _ -> c mod 3 = 0);
+      Workload.Mt_driver.run d 100;
+      Alcotest.(check string) (tag ^ ": summary") pinned_fault_summary
+        (Monitor.summary m);
+      Alcotest.(check string) (tag ^ ": profile") pinned_fault_profile
+        (Melastic.Profile.to_json (Monitor.profile m)))
+    backends
+
+(* A short monitored CPU serving run through [Serve.Host]: two slots,
+   a runaway job killed at its deadline, restarts and slot reuse. *)
+let pinned_cpu_events = {|timeout 1 tries 1
+done 0 lat 154 slot 0 r1 0 r2 0
+done 2 lat 182 slot 0 r1 42 r2 0
+done 3 lat 354 slot 1 r1 0 r2 28
+|}
+
+let pinned_cpu_summary = {|monitor: all invariants held
+|}
+
+let pinned_cpu_profile = {|{
+  "cycles": 400,
+  "channels": [
+    {"name":"cpu_fetch","threads":2,"fires":59,"fires_per_thread":[20,39],"active_cycles":59,"stall_cycles":0,"backpressure_cycles":0,"idle_cycles":341,"occupancy":null},
+    {"name":"cpu_mem","threads":2,"fires":59,"fires_per_thread":[20,39],"active_cycles":59,"stall_cycles":0,"backpressure_cycles":0,"idle_cycles":341,"occupancy":null},
+    {"name":"cpu_wb","threads":2,"fires":59,"fires_per_thread":[20,39],"active_cycles":59,"stall_cycles":0,"backpressure_cycles":0,"idle_cycles":341,"occupancy":null}
+  ],
+  "gauges": [
+  ]
+}
+|}
+
+let test_pinned_cpu_serve () =
+  let saved = !Hw.Sim.default_backend in
+  Fun.protect
+    ~finally:(fun () -> Hw.Sim.default_backend := saved)
+    (fun () ->
+      List.iter
+        (fun backend ->
+          let tag = "cpu serve " ^ Hw.Sim.backend_to_string backend in
+          Hw.Sim.default_backend := backend;
+          let replica, mon =
+            Serve.Cpu_backend.make_monitored ~monitor:true ~slots:2 ~imem_size:64
+              ~dmem_size:64 () 0
+          in
+          let host = Serve.Host.create replica in
+          let job source args = { Serve.Cpu_backend.source; args } in
+          List.iteri
+            (fun id (j, deadline) ->
+              ignore (Serve.Host.admit ?deadline host ~id ~arrival:0 j))
+            [ (job "addi r1, r0, 5\nloop: addi r1, r1, -1\nsw r1, 0(r15)\nbne r1, r0, loop\nhalt" [], None);
+              (job "loop: j loop" [], Some 150);
+              (job "li r1, 41\naddi r1, r1, 1\nhalt" [], None);
+              (job "loop: add r2, r2, r1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt"
+                 [ (1, 7) ], None) ];
+          let events = Buffer.create 64 in
+          for _ = 1 to 400 do
+            List.iter
+              (function
+                | Serve.Host.Completed { id; latency; slot; result } ->
+                  Printf.bprintf events "done %d lat %d slot %d r1 %d r2 %d\n" id
+                    latency slot result.(1) result.(2)
+                | Serve.Host.Timed_out { id; tries } ->
+                  Printf.bprintf events "timeout %d tries %d\n" id tries
+                | Serve.Host.Shed { id; at } -> Printf.bprintf events "shed %d at %d\n" id at)
+              (Serve.Host.step host)
+          done;
+          Serve.Host.finish host;
+          let m = Option.get mon in
+          Alcotest.(check string) (tag ^ ": events") pinned_cpu_events
+            (Buffer.contents events);
+          Alcotest.(check string) (tag ^ ": summary") pinned_cpu_summary
+            (Monitor.summary m);
+          Alcotest.(check string) (tag ^ ": profile") pinned_cpu_profile
+            (Melastic.Profile.to_json (Monitor.profile m)))
+        backends)
+
 let suite =
   ( "monitor",
     [ Alcotest.test_case "md5 clean (both backends)" `Quick test_md5_clean;
@@ -322,4 +452,8 @@ let suite =
         test_trip_conservation_duplication;
       Alcotest.test_case "trip: watchdog" `Quick test_trip_watchdog;
       Alcotest.test_case "trip: barrier liveness" `Quick test_trip_barrier;
-      Alcotest.test_case "report budget" `Quick test_report_budget ] )
+      Alcotest.test_case "report budget" `Quick test_report_budget;
+      Alcotest.test_case "pinned: injected-fault report and profile" `Quick
+        test_pinned_fault_report;
+      Alcotest.test_case "pinned: monitored cpu serve run" `Quick
+        test_pinned_cpu_serve ] )

@@ -37,18 +37,32 @@ let drive_lockstep ?(cycles = 30) st si sc =
       (Hw.Sim.circuit si).Hw.Circuit.inputs []
   in
   for c = 1 to cycles do
-    List.iter
-      (fun (name, w) ->
-        let v = Bits.random st ~width:w in
-        Hw.Sim.poke si name v;
-        Hw.Sim.poke sc name v)
-      inputs;
+    let values =
+      List.map
+        (fun (name, w) ->
+          let v = Bits.random st ~width:w in
+          Hw.Sim.poke si name v;
+          Hw.Sim.poke sc name v;
+          (name, v))
+        inputs
+    in
     Hw.Sim.settle si;
     Hw.Sim.settle sc;
     check_outputs (Printf.sprintf "settle %d" c) si sc;
     Hw.Sim.cycle si;
     Hw.Sim.cycle sc;
-    check_outputs (Printf.sprintf "cycle %d" c) si sc
+    check_outputs (Printf.sprintf "cycle %d" c) si sc;
+    (* Re-poking unchanged values leaves the circuit clean (only a
+       changed input dirties it), so the settle below is skipped; the
+       skipped state must still be the settled one. *)
+    List.iter
+      (fun (name, v) ->
+        Hw.Sim.poke si name v;
+        Hw.Sim.poke sc name v)
+      values;
+    Hw.Sim.settle si;
+    Hw.Sim.settle sc;
+    check_outputs (Printf.sprintf "re-poke %d" c) si sc
   done
 
 (* Random feed-forward circuit generator.  Widths span 1..96 so both
@@ -498,6 +512,160 @@ let test_unknown_signal () =
            (contains "countr" && contains "counter")))
     [ Hw.Sim.Interp; Hw.Sim.Compiled; Hw.Sim.Jit ]
 
+(* ---- resolved ports ---- *)
+
+let all_backends = [ Hw.Sim.Interp; Hw.Sim.Compiled; Hw.Sim.Jit ]
+
+(* Two simulators of one circuit, one driven and observed by name and
+   one through ports, must agree cycle for cycle on every backend.
+   Narrow inputs alternate between [write] and [write_int]; every
+   output is compared as a vector and, when narrow, as an int. *)
+let test_ports_lockstep () =
+  let st = Random.State.make [| 0x9047 |] in
+  for _ = 1 to 2 do
+    let circuit = random_circuit st in
+    List.iter
+      (fun backend ->
+        let tag = Hw.Sim.backend_to_string backend in
+        let sn = Hw.Sim.create ~backend circuit in
+        let sp = Hw.Sim.create ~backend circuit in
+        let inputs =
+          Hashtbl.fold
+            (fun name (s : S.t) acc -> (name, s.S.width, Hw.Sim.input_port sp name) :: acc)
+            (Hw.Sim.circuit sp).Hw.Circuit.inputs []
+        in
+        let outputs =
+          List.map
+            (fun (name, _) -> (name, Hw.Sim.signal_port sp name))
+            (Hw.Sim.circuit sp).Hw.Circuit.outputs
+        in
+        let compare phase =
+          List.iter
+            (fun (name, port) ->
+              let by_name = Hw.Sim.peek sn name in
+              if not (Bits.equal by_name (Hw.Sim.read port)) then
+                Alcotest.failf "%s %s: port read of %S differs" tag phase name;
+              if Hw.Sim.port_width port <= Bits.max_int_width then
+                Alcotest.(check int)
+                  (Printf.sprintf "%s %s: read_int %s" tag phase name)
+                  (Hw.Sim.peek_int sn name) (Hw.Sim.read_int port))
+            outputs
+        in
+        for c = 1 to 12 do
+          List.iter
+            (fun (name, w, port) ->
+              let v = Bits.random st ~width:w in
+              Hw.Sim.poke sn name v;
+              if w <= Bits.max_int_width && c mod 2 = 0 then
+                Hw.Sim.write_int port (Bits.to_int v)
+              else Hw.Sim.write port v)
+            inputs;
+          Hw.Sim.settle sn;
+          Hw.Sim.settle sp;
+          compare (Printf.sprintf "settle %d" c);
+          Hw.Sim.cycle sn;
+          Hw.Sim.cycle sp;
+          compare (Printf.sprintf "cycle %d" c)
+        done)
+      all_backends
+  done
+
+(* Resolution fails at resolve time, with the shared structured error;
+   writes check their target and width. *)
+let test_port_errors () =
+  let b = S.Builder.create () in
+  let x = S.input b "enable" 1 in
+  ignore (S.output b "counter" (S.reg_fb b ~enable:x ~width:8 (fun q -> S.add b q (S.of_int b ~width:8 1))));
+  let circuit = Hw.Circuit.create b in
+  List.iter
+    (fun backend ->
+      let sim = Hw.Sim.create ~backend circuit in
+      let tag = Hw.Sim.backend_to_string backend in
+      let expect_unknown what ~op ?suggests f =
+        match f () with
+        | _ -> Alcotest.failf "%s: %s of an unknown name succeeded" tag what
+        | exception Hw.Sim_intf.Unknown_signal { op = op'; candidates; _ } ->
+          Alcotest.(check string) (tag ^ " " ^ what ^ " op") op op';
+          Option.iter
+            (fun n ->
+              Alcotest.(check bool) (tag ^ " " ^ what ^ " suggests " ^ n) true
+                (List.mem n candidates))
+            suggests
+      in
+      expect_unknown "signal_port" ~op:"signal_port" ~suggests:"counter" (fun () ->
+          Hw.Sim.signal_port sim "countr");
+      expect_unknown "input_port" ~op:"input_port" ~suggests:"enable" (fun () ->
+          Hw.Sim.input_port sim "enabel");
+      (* An output is not an input: resolving it as one fails too. *)
+      expect_unknown "input_port of an output" ~op:"input_port" (fun () ->
+          Hw.Sim.input_port sim "counter");
+      let counter = Hw.Sim.signal_port sim "counter" in
+      Alcotest.check_raises (tag ^ " write to a non-input")
+        (Invalid_argument "Sim.write: counter is not a primary input") (fun () ->
+          Hw.Sim.write_int counter 1);
+      let enable = Hw.Sim.input_port sim "enable" in
+      Alcotest.check_raises (tag ^ " width mismatch")
+        (Invalid_argument "Sim.poke enable: width mismatch (2 vs 1)") (fun () ->
+          Hw.Sim.write enable (Bits.of_int ~width:2 1));
+      (* A signal port may name an input, and then it is writable. *)
+      let enable' = Hw.Sim.signal_port sim "enable" in
+      Hw.Sim.write_int enable' 1;
+      Hw.Sim.cycle sim;
+      Alcotest.(check int) (tag ^ " write through signal_port") 1
+        (Hw.Sim.read_int counter);
+      Alcotest.(check int) (tag ^ " port width") 8 (Hw.Sim.port_width counter);
+      Alcotest.(check string) (tag ^ " port name") "counter" (Hw.Sim.port_name counter))
+    all_backends
+
+(* A port outlives [reset] and [restore], and under [~optimize:true]
+   it resolves a name the optimizer kept only as an alias. *)
+let test_port_lifetime () =
+  let b = S.Builder.create () in
+  let x = S.input b "x" 8 and y = S.input b "y" 8 in
+  ignore S.(add b x y -- "s1");
+  let s2 = S.(add b x y -- "s2") in
+  let count = S.(reg_fb b ~width:8 (fun q -> add b q (of_int b ~width:8 1)) -- "count") in
+  ignore (S.output b "o" (S.lxor_ b s2 count));
+  let circuit = Hw.Circuit.create b in
+  List.iter
+    (fun (backend, optimize) ->
+      let sim = Hw.Sim.create ~backend ~optimize circuit in
+      let tag =
+        Printf.sprintf "%s%s" (Hw.Sim.backend_to_string backend)
+          (if optimize then "+opt" else "")
+      in
+      if optimize then begin
+        (* The CSE merged the two adders: "s2" survives as an alias. *)
+        let node = Hashtbl.find (Hw.Sim.circuit sim).Hw.Circuit.named "s2" in
+        Alcotest.(check bool) (tag ^ ": s2 is an alias") true
+          (node.S.name <> Some "s2" && List.mem "s2" node.S.aliases)
+      end;
+      let px = Hw.Sim.input_port sim "x" and py = Hw.Sim.input_port sim "y" in
+      let ps2 = Hw.Sim.signal_port sim "s2" and pcount = Hw.Sim.signal_port sim "count" in
+      let po = Hw.Sim.signal_port sim "o" in
+      let check phase ~s2 ~count =
+        Alcotest.(check int) (tag ^ " " ^ phase ^ ": s2") s2 (Hw.Sim.read_int ps2);
+        Alcotest.(check int) (tag ^ " " ^ phase ^ ": count") count (Hw.Sim.read_int pcount);
+        Alcotest.(check int) (tag ^ " " ^ phase ^ ": o") (s2 lxor count) (Hw.Sim.read_int po)
+      in
+      Hw.Sim.write_int px 3;
+      Hw.Sim.write_int py 4;
+      Hw.Sim.cycles sim 5;
+      check "after 5 cycles" ~s2:7 ~count:5;
+      let snap = Hw.Sim.snapshot sim in
+      Hw.Sim.write_int px 10;
+      Hw.Sim.cycles sim 3;
+      check "after 3 more" ~s2:14 ~count:8;
+      Hw.Sim.restore sim snap;
+      Hw.Sim.settle sim;
+      check "after restore" ~s2:14 ~count:5;
+      Hw.Sim.reset sim;
+      check "after reset" ~s2:0 ~count:0;
+      Hw.Sim.write_int py 1;
+      Hw.Sim.cycle sim;
+      check "written after reset" ~s2:1 ~count:1)
+    (List.concat_map (fun b -> [ (b, false); (b, true) ]) all_backends)
+
 (* ---- native JIT backend ---- *)
 
 (* Same randomized lockstep as the compiled backend, with the JIT as
@@ -585,6 +753,62 @@ let test_jit_cycles_batching () =
   run ~domains:1;
   run ~domains:2
 
+(* A corrupt disk-cache entry — a truncated kernel, or garbage behind
+   an ELF magic number, each next to a well-formed digest file — must
+   be rebuilt (or fall back), never loaded: dlopen of a truncated
+   kernel would kill the process.  The rebuilt simulator matches the
+   interpreter bit for bit.  Runs in a private cache directory on
+   netlists no other test builds, so the entries are read from disk
+   rather than from the in-process table. *)
+let test_jit_cache_corruption () =
+  let saved = Hw.Sim_jit.cache_dir () in
+  let dir = Filename.temp_dir "elastic_jit_test" "" in
+  Hw.Sim_jit.set_cache_dir dir;
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
+  let write_file path contents =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+  in
+  let build () = Option.get (Hw.Sim_jit.last_build ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Hw.Sim_jit.clear_disk_cache ();
+      Hw.Sim_jit.set_cache_dir saved)
+    (fun () ->
+      let st = Random.State.make [| 0xcace |] in
+      (* A real kernel, to cut in half. *)
+      ignore (Hw.Sim.create ~backend:Hw.Sim.Jit (random_circuit st));
+      let donor_path = Hw.Sim_jit.kernel_path ~hash:(build ()).Hw.Sim_jit.hash in
+      let donor = read_file donor_path in
+      let donor_digest = read_file (donor_path ^ ".digest") in
+      let corrupt tag contents =
+        let circuit = random_circuit st in
+        (* The forced fallback computes the netlist hash without
+           compiling or loading anything. *)
+        let hash =
+          with_forced_fallback (fun () ->
+              ignore (Hw.Sim.create ~backend:Hw.Sim.Jit circuit);
+              (build ()).Hw.Sim_jit.hash)
+        in
+        let path = Hw.Sim_jit.kernel_path ~hash in
+        Sys.mkdir (Filename.dirname path) 0o755;
+        write_file path contents;
+        write_file (path ^ ".digest") donor_digest;
+        let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+        let b = build () in
+        Alcotest.(check bool) (tag ^ ": not served from the bad entry") false
+          b.Hw.Sim_jit.disk_cache_hit;
+        (match b.Hw.Sim_jit.bmode with
+         | Hw.Sim_jit.Native ->
+           Alcotest.(check bool) (tag ^ ": entry replaced by a rebuild") true
+             (read_file path <> contents)
+         | Hw.Sim_jit.Fallback _ -> ());
+        let si = Hw.Sim.create ~backend:Hw.Sim.Interp circuit in
+        drive_lockstep ~cycles:100 st si sj
+      in
+      corrupt "truncated" (String.sub donor 0 (String.length donor / 2));
+      corrupt "garbage"
+        ("\x7fELF" ^ String.init 4096 (fun _ -> Char.chr (Random.State.int st 256))))
+
 let suite =
   ( "sim-backends",
     [ Alcotest.test_case "random circuits lockstep" `Quick test_random_circuits;
@@ -601,10 +825,18 @@ let suite =
         test_optimizer_cosim_real_designs;
       Alcotest.test_case "settle dirty-flag boundaries (both)" `Quick
         test_settle_dirty_boundaries;
+      Alcotest.test_case "ports agree with by-name access" `Quick
+        test_ports_lockstep;
+      Alcotest.test_case "port resolution and write errors" `Quick
+        test_port_errors;
+      Alcotest.test_case "ports across reset, restore and optimize" `Quick
+        test_port_lifetime;
       Alcotest.test_case "jit random circuits lockstep" `Quick
         test_jit_random_circuits;
       Alcotest.test_case "jit fallback specializer lockstep" `Quick
         test_jit_fallback_equivalence;
       Alcotest.test_case "md5 workload (jit)" `Quick test_md5_on_jit;
       Alcotest.test_case "jit batched cycles vs stepping" `Quick
-        test_jit_cycles_batching ] )
+        test_jit_cycles_batching;
+      Alcotest.test_case "jit cache rebuilds corrupt entries" `Quick
+        test_jit_cache_corruption ] )
