@@ -49,7 +49,7 @@ let point_of_stats ~label ~scale (s : Fleet.Frontend.stats) =
     in
     sum /. float_of_int (Array.length s.Fleet.Frontend.s_per_host)
   in
-  let pct p = Workload.Histogram.percentile s.Fleet.Frontend.s_latency p in
+  let pct p = Melastic.Histogram.percentile s.Fleet.Frontend.s_latency p in
   { p_label = label;
     p_scale = scale;
     p_requests = s.Fleet.Frontend.s_requests;
@@ -232,13 +232,13 @@ let run ?(quick = false) ?domains () =
         (* Queue-depth percentiles across the point's hosts, merged
            from each host's "queue_depth" profile gauge — reported
            whether the sweep ran in parallel or sequentially. *)
-        let qd = Workload.Histogram.create () in
+        let qd = Melastic.Histogram.create () in
         Array.iter
           (fun h ->
-            Workload.Histogram.merge_into ~into:qd
+            Melastic.Histogram.merge_into ~into:qd
               h.Fleet.Frontend.h_queue_depth)
           s.Fleet.Frontend.s_per_host;
-        let qd_p p = Workload.Histogram.percentile qd p in
+        let qd_p p = Melastic.Histogram.percentile qd p in
         Printf.printf
           "hosts %d: %4d jobs in %6.2fs = %8.1f jobs/s  queue p50/p95/p99 \
            %d/%d/%d\n\

@@ -48,9 +48,9 @@ let point_of_report ~rate ~jobs r =
     p_cycles = cycles;
     p_occupancy = Serve.Engine.mean_occupancy r;
     p_queue_depth = qd;
-    p_p50 = Workload.Histogram.percentile lat 0.50;
-    p_p95 = Workload.Histogram.percentile lat 0.95;
-    p_p99 = Workload.Histogram.percentile lat 0.99;
+    p_p50 = Melastic.Histogram.percentile lat 0.50;
+    p_p95 = Melastic.Histogram.percentile lat 0.95;
+    p_p99 = Melastic.Histogram.percentile lat 0.99;
     p_achieved =
       (if cycles = 0 then 0.
        else 1000. *. float_of_int completed /. float_of_int cycles);

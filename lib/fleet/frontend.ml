@@ -112,7 +112,7 @@ type host_stats = {
   h_busy_slot_cycles : int;
   h_queue_depth_sum : int;
   h_queue_depth_max : int;
-  h_queue_depth : Workload.Histogram.t;
+  h_queue_depth : Melastic.Histogram.t;
   h_admitted : int;
   h_violations : int;
 }
@@ -129,7 +129,7 @@ type stats = {
   s_failed : int;
   s_dispatched : int;
   s_steals : int;
-  s_latency : Workload.Histogram.t;
+  s_latency : Melastic.Histogram.t;
   s_per_host : host_stats array;
   s_kq_bound : int;
   s_kq_max_observed : int;
@@ -163,7 +163,7 @@ type ('job, 'res) running = {
   inflight : (string, int list ref) Hashtbl.t;
   host_of : (int, int) Hashtbl.t;
   admitted : int array;
-  lat : Workload.Histogram.t;
+  lat : Melastic.Histogram.t;
   mutable unresolved : int;
   mutable completed : int;
   mutable cache_hits : int;
@@ -183,7 +183,7 @@ let resolve r id o =
     match o with
     | Done { latency; via; _ } ->
         r.completed <- r.completed + 1;
-        Workload.Histogram.add r.lat latency;
+        Melastic.Histogram.add r.lat latency;
         (match via with
         | Cache -> r.cache_hits <- r.cache_hits + 1
         | Coalesced -> r.coalesced <- r.coalesced + 1
@@ -277,7 +277,7 @@ let run ?pool ?(max_cycles = 1_000_000) t =
       inflight = Hashtbl.create 64;
       host_of = Hashtbl.create 64;
       admitted = Array.make cfg.n_hosts 0;
-      lat = Workload.Histogram.create ();
+      lat = Melastic.Histogram.create ();
       unresolved = t.n_reqs;
       completed = 0;
       cache_hits = 0;
@@ -520,10 +520,10 @@ let summary s =
     s.s_requests s.s_cycles (Array.length s.s_per_host) s.s_completed
     s.s_cache_hits s.s_coalesced s.s_retired s.s_shed s.s_timed_out s.s_failed
     s.s_dispatched s.s_steals (cache_hit_ratio s)
-    (Workload.Histogram.percentile s.s_latency 0.50)
-    (Workload.Histogram.percentile s.s_latency 0.95)
-    (Workload.Histogram.percentile s.s_latency 0.99)
-    (Workload.Histogram.max_value s.s_latency)
+    (Melastic.Histogram.percentile s.s_latency 0.50)
+    (Melastic.Histogram.percentile s.s_latency 0.95)
+    (Melastic.Histogram.percentile s.s_latency 0.99)
+    (Melastic.Histogram.max_value s.s_latency)
     s.s_kq_max_observed s.s_kq_bound s.s_kq_dequeues s.s_kq_violations;
   Array.iter
     (fun h ->

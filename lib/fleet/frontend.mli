@@ -111,7 +111,7 @@ type host_stats = {
   h_busy_slot_cycles : int;
   h_queue_depth_sum : int;
   h_queue_depth_max : int;
-  h_queue_depth : Workload.Histogram.t;
+  h_queue_depth : Melastic.Histogram.t;
       (** the host's ["queue_depth"] profile gauge — per-cycle peak
           backlog, queryable for percentiles *)
   h_admitted : int;  (** jobs dispatched or stolen onto this host *)
@@ -130,7 +130,7 @@ type stats = {
   s_failed : int;
   s_dispatched : int;  (** admissions into host queues *)
   s_steals : int;  (** jobs moved between hosts *)
-  s_latency : Workload.Histogram.t;  (** end-to-end, [Done] only *)
+  s_latency : Melastic.Histogram.t;  (** end-to-end, [Done] only *)
   s_per_host : host_stats array;
   s_kq_bound : int;
   s_kq_max_observed : int;  (** max relaxation distance, all classes *)

@@ -43,7 +43,7 @@ let backends : backend_info list =
     { backend = Jit; bname = "jit"; aliases = [];
       doc =
         "native code: cones emitted as OCaml, compiled and dynlinked \
-         (threaded-code fallback when the toolchain is unavailable)";
+         (the compiled closures when the toolchain is unavailable)";
       impl = (module Sim_jit); optimize_default = true } ]
 
 let backend_info b = List.find (fun i -> i.backend = b) backends

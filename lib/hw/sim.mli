@@ -12,8 +12,8 @@
     - {!Sim_compiled} ([Compiled]) — pre-compiled closures with an
       unboxed-int fast path, several times faster per cycle;
     - {!Sim_jit} ([Jit]) — combinational cones emitted as OCaml
-      source, natively compiled and dynlinked (with an automatic
-      threaded-code fallback), fastest per cycle.
+      source, natively compiled and dynlinked (keeping the compiled
+      closures when no kernel can be built), fastest per cycle.
 
     All are bit-identical (checked cycle-for-cycle by the test
     suite); pick one per simulator via [?backend], plug in any other

@@ -123,11 +123,9 @@ type t = {
   (* the phases between sample and write: cleared registers' sample
      and the memory write ports, both of which must read pre-commit
      slot values *)
-  mutable run_jit : (int -> bool) option;
+  mutable run_jit : (int -> unit) option;
   (* Sim_jit's batched free-run: n x {commit; state settle} as one
-     native loop.  [cycles] engages it when no observer is registered;
-     a [false] return means the kernel declined (e.g. multi-domain
-     settle is on) and the host must loop cycle by cycle. *)
+     native loop.  [cycles] engages it when no observer is registered. *)
 }
 
 let is_int (s : Signal.t) = s.Signal.width <= maxw
@@ -681,11 +679,9 @@ let cycles t n =
        action per cycle is the state-cone settle), so both staleness
        flags end false — identical observable state to n x [cycle]. *)
     settle t;
-    if run n then begin
-      t.cycle_no <- t.cycle_no + n;
-      t.mstale <- false
-    end
-    else for _ = 1 to n do cycle t done
+    run n;
+    t.cycle_no <- t.cycle_no + n;
+    t.mstale <- false
   | _ -> for _ = 1 to n do cycle t done
 
 let cycle_no t = t.cycle_no

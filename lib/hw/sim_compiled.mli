@@ -67,13 +67,11 @@ module Jit_support : sig
   (** Same for the clear-less wide registers (enable is still an int
       uid). *)
 
-  val set_run : t -> (int -> bool) -> unit
+  val set_run : t -> (int -> unit) -> unit
   (** Install a batched free-run: [run n] must be observationally
       identical to [n] x [cycle] minus observers (it is only engaged
       by [cycles] when no observer is registered and everything is
-      settled on entry), leaving every slot settled on exit.  A
-      [false] return declines the batch (the host falls back to
-      looping [cycle]). *)
+      settled on entry), leaving every slot settled on exit. *)
 
   val set_commit : t -> ((unit -> unit) -> unit) -> unit
   (** Replace the clear-less registers' commit loops with a generated

@@ -37,11 +37,6 @@
      cover.
    - The three activity cones (full, input fan-out, state fan-out) are
      emitted as separate functions, preserving the dirty-flag gating.
-   - The state cone is additionally split into its weakly-connected
-     combinational components (cores that only talk through registered
-     links land in different components), grouped into at most
-     [partition_target] parts; [set_domains] runs them on a persistent
-     [Parallel.Pool] every settle.
 
    Kernels are cached at two levels: an in-process table keyed by the
    canonical netlist hash (N replicas of one circuit link the same
@@ -55,11 +50,9 @@
 
    When native loading is impossible — bytecode host, toolchain or the
    library's .cmi directory unavailable, compile failure — [create]
-   falls back to a self-contained threaded-code specializer: the same
-   emit plan lowered to a flat int-array program run by one dispatch
-   loop, which still beats the closure walk (no per-node indirect
-   call) without shelling out.  The selection is automatic and
-   recorded in [last_build] for the bench JSON. *)
+   keeps the [Sim_compiled] instance exactly as built: its own settle
+   schedules, commit loops and per-cycle [cycles].  The outcome and
+   its reason are recorded in [last_build] for the bench JSON. *)
 
 module J = Sim_compiled.Jit_support
 
@@ -67,8 +60,7 @@ let name = "jit"
 
 (* ---- configuration ---- *)
 
-let codegen_version = "jitv5"
-let partition_target = 4
+let codegen_version = "jitv6"
 let max_inline_depth = 120
 
 let cache_dir_override : string option ref = ref None
@@ -83,10 +75,6 @@ let cache_dir () =
 
 let set_cache_dir d = cache_dir_override := Some d
 
-let force_fallback = ref false
-
-let domains_ref = ref 1
-
 (* ---- build stats (read by the perf bench) ---- *)
 
 type mode = Native | Fallback of string
@@ -99,10 +87,9 @@ type build_stats = {
   codegen_seconds : float;
   compile_seconds : float;
   load_seconds : float;
-  emitted_nodes : int; (* int-pure nodes lowered to source/bytecode *)
-  closure_nodes : int; (* wide/mixed nodes kept as closures *)
-  inlined_nodes : int; (* register-allocated (native only) *)
-  state_parts : int;
+  emitted_nodes : int; (* nodes lowered to native code *)
+  closure_nodes : int; (* nodes left to their Sim_compiled closures *)
+  inlined_nodes : int; (* register-allocated *)
 }
 
 let last_build_ref : build_stats option ref = ref None
@@ -117,19 +104,18 @@ let reset_cache_counters () = disk_hits := 0; disk_misses := 0
 
 (* iv slots, bv (wide) slots, narrow- and wide-memory contents
    (circuit memory order, [[||]] in the list the memory is not part
-   of), closure table -> (full, input, commit, run, state parts).
-   The commit (None from the fallback, which keeps the host's loops)
-   samples the clear-less registers into locals, runs its argument —
-   the host-side middle that must read pre-commit slots — then
-   writes.  The run, when the circuit qualifies (no cleared
+   of), closure table -> (full, input, commit, run, state).
+   The commit samples the clear-less registers into locals, runs its
+   argument — the host-side middle that must read pre-commit slots —
+   then writes.  The run, when the circuit qualifies (no cleared
    registers), is the batched free-run: n x {commit incl. memory
    write ports; state-cone settle} as one native loop with no
    per-cycle dispatch. *)
 type maker =
   int array -> Bits.t array -> int array array -> Bits.t array array ->
   (unit -> unit) array ->
-  (unit -> unit) * (unit -> unit) * ((unit -> unit) -> unit) option
-  * (int -> unit) option * (unit -> unit) array
+  (unit -> unit) * (unit -> unit) * ((unit -> unit) -> unit)
+  * (int -> unit) option * (unit -> unit)
 
 let pending_kernel : maker option ref = ref None
 let register_kernel m = pending_kernel := Some m
@@ -163,9 +149,9 @@ let kernel_path ~hash =
 (* ---- emit plan ----
 
    Walks the full settle schedule once and classifies every node:
-   [Emit] (int-pure, lowered to source/bytecode) or [Closure k] (keeps
-   its Sim_compiled closure, called as entry [k] of the instance's
-   closure table). *)
+   [Emit] (int-pure, lowered to an OCaml expression) or [Closure k]
+   (keeps its Sim_compiled closure, called as entry [k] of the
+   instance's closure table). *)
 
 type emitted =
   | Enot of { x : int; m : int }
@@ -186,8 +172,6 @@ type plan = {
   mem_index : (int, int) Hashtbl.t; (* mem_uid -> position in circuit.memories *)
   materialized : bool array; (* uid -> slot is written when settled *)
   defn : (int, emitted) Hashtbl.t; (* uid -> emitted op, for inlining *)
-  part_of : int array; (* uid -> state partition, -1 outside the state cone *)
-  n_parts : int;
   (* When set, slot reads of these uids render as the given local
      variable instead of iv.(u)/bv.(u).  Active only while the batched
      free-run body is being emitted: there, register values and
@@ -353,65 +337,8 @@ let build_plan (base : Sim_compiled.t) (circuit : Circuit.t) =
         else depth.(u) <- d
       | Closure _ -> ())
     sched;
-  (* State-cone partition: weakly-connected components of the
-     combinational graph restricted to state-scheduled nodes. *)
-  let parent = Array.init n (fun i -> i) in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then parent.(ra) <- rb
-  in
-  let in_state (s : Signal.t) = J.is_state_dep base s.Signal.uid in
-  Array.iter
-    (fun ((s : Signal.t), _) ->
-      if in_state s then
-        List.iter
-          (fun (d : Signal.t) ->
-            if scheduled.(d.Signal.uid) && in_state d then
-              union s.Signal.uid d.Signal.uid)
-          (operands s))
-    sched;
-  let weight = Hashtbl.create 16 in
-  Array.iter
-    (fun ((s : Signal.t), _) ->
-      if in_state s then begin
-        let r = find s.Signal.uid in
-        Hashtbl.replace weight r
-          (1 + Option.value ~default:0 (Hashtbl.find_opt weight r))
-      end)
-    sched;
-  let comps =
-    Hashtbl.fold (fun r w acc -> (r, w) :: acc) weight []
-    |> List.sort (fun (ra, a) (rb, b) ->
-           if a = b then compare ra rb else compare b a)
-  in
-  let n_parts = max 1 (min partition_target (List.length comps)) in
-  let part_weights = Array.make n_parts 0 in
-  let comp_part = Hashtbl.create 16 in
-  List.iter
-    (fun (r, w) ->
-      let best = ref 0 in
-      for i = 1 to n_parts - 1 do
-        if part_weights.(i) < part_weights.(!best) then best := i
-      done;
-      part_weights.(!best) <- part_weights.(!best) + w;
-      Hashtbl.replace comp_part r !best)
-    comps;
-  let part_of = Array.make n (-1) in
-  Array.iter
-    (fun ((s : Signal.t), _) ->
-      if in_state s then
-        part_of.(s.Signal.uid) <- Hashtbl.find comp_part (find s.Signal.uid))
-    sched;
   { circuit; sched; n_closures = !n_closures; mem_index; materialized; defn;
-    part_of; n_parts; rename = None }
+    rename = None }
 
 (* ---- canonical netlist hash (the kernel cache key) ----
 
@@ -431,7 +358,6 @@ let canonical_hash (plan : plan) =
   add codegen_version;
   add Sys.ocaml_version;
   addi Sys.int_size;
-  addi partition_target;
   addi max_inline_depth;
   addi plan.circuit.Circuit.max_uid;
   Circuit.iter_nodes plan.circuit (fun (s : Signal.t) ->
@@ -791,11 +717,7 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
   in
   emit_fn "jit_full" (fun _ -> true);
   emit_fn "jit_input" (fun s -> J.is_input_dep base s.Signal.uid);
-  for p = 0 to plan.n_parts - 1 do
-    emit_fn
-      (Printf.sprintf "jit_state_%d" p)
-      (fun s -> plan.part_of.(s.Signal.uid) = p)
-  done;
+  emit_fn "jit_state" (fun s -> J.is_state_dep base s.Signal.uid);
   (* The register commit, straight-line: sample every clear-less
      register into a local (constant slot indices, enable folded in),
      run the host middle (cleared registers' sample + memory write
@@ -896,7 +818,7 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       (fun ((s : Signal.t), p) ->
         match p with
         | Emit _
-          when plan.part_of.(s.Signal.uid) >= 0
+          when J.is_state_dep base s.Signal.uid
                && plan.materialized.(s.Signal.uid) ->
           Hashtbl.replace t s.Signal.uid (Printf.sprintf "x%d" s.Signal.uid)
         | _ -> ())
@@ -908,7 +830,7 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
         match
           Array.iter
             (fun ((s : Signal.t), p) ->
-              if plan.part_of.(s.Signal.uid) >= 0 then
+              if J.is_state_dep base s.Signal.uid then
                 match p with
                 | Emit e ->
                   if plan.materialized.(s.Signal.uid) then
@@ -976,10 +898,7 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       Array.iteri
         (fun i (q, _, _) -> add (Printf.sprintf "        bv.(%d) <- p%d;\n" q i))
         wrc;
-      for p = 0 to plan.n_parts - 1 do
-        add (Printf.sprintf "        jit_state_%d ();\n" p)
-      done;
-      add "        ()\n";
+      add "        jit_state ()\n";
       add "      end else begin\n";
       add body;
       add "      end\n";
@@ -1004,19 +923,13 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       emit_samples "      ";
       emit_ports buf "      ";
       emit_writes "      ";
-      for p = 0 to plan.n_parts - 1 do
-        add (Printf.sprintf "      jit_state_%d ();\n" p)
-      done;
+      add "      jit_state ()\n";
       add "    done\n";
       add "  in\n"
   end;
   add
-    (Printf.sprintf "  (jit_full, jit_input, Some jit_commit, %s, [| "
+    (Printf.sprintf "  (jit_full, jit_input, jit_commit, %s, jit_state)\n"
        (if has_cleared then "None" else "Some jit_run"));
-  for p = 0 to plan.n_parts - 1 do
-    add (Printf.sprintf "jit_state_%d; " p)
-  done;
-  add "|])\n";
   add "\nlet () = Hw.Sim_jit.register_kernel make\n";
   Buffer.contents buf
 
@@ -1191,183 +1104,6 @@ let build_cmxs ~incs ~dir ~modname text ~load =
       Sys.rename (staged ".cmxs") (final ".cmxs");
       loaded)
 
-(* ---- fallback: threaded-code specializer ----
-
-   The same emit plan lowered to a flat int-array program run by one
-   dispatch loop: no per-node closure call, explicit unsafe accesses —
-   but no inlining, every emitted node keeps its slot. *)
-
-let op_not = 0
-and op_and = 1
-and op_or = 2
-and op_xor = 3
-and op_add = 4
-and op_sub = 5
-and op_mul = 6
-and op_eq = 7
-and op_ult = 8
-and op_slt = 9
-and op_mux2 = 10
-and op_muxn = 11
-and op_concat = 12
-and op_select = 13
-and op_memrd = 14
-and op_wide = 15
-
-let bytecode_of (plan : plan) keep =
-  let code = ref [] in
-  let push i = code := i :: !code in
-  Array.iter
-    (fun ((s : Signal.t), p) ->
-      if keep s then
-        match p with
-        | Closure k -> push op_wide; push k
-        | Emit e ->
-          let d = s.Signal.uid in
-          (match e with
-           | Enot { x; m } -> push op_not; push d; push x; push m
-           | Ebin { op; x; y; m; sb } ->
-             (match op with
-              | Signal.And -> push op_and; push d; push x; push y
-              | Signal.Or -> push op_or; push d; push x; push y
-              | Signal.Xor -> push op_xor; push d; push x; push y
-              | Signal.Add -> push op_add; push d; push x; push y; push m
-              | Signal.Sub -> push op_sub; push d; push x; push y; push m
-              | Signal.Mul -> push op_mul; push d; push x; push y
-              | Signal.Eq -> push op_eq; push d; push x; push y
-              | Signal.Ult -> push op_ult; push d; push x; push y
-              | Signal.Slt -> push op_slt; push d; push x; push y; push sb)
-           | Emux { sel; cases } ->
-             let nc = Array.length cases in
-             if nc = 2 then begin
-               push op_mux2; push d; push sel;
-               push cases.(0); push cases.(1)
-             end
-             else begin
-               push op_muxn; push d; push sel; push nc;
-               Array.iter push cases
-             end
-           | Econcat { parts } ->
-             push op_concat; push d; push (Array.length parts);
-             Array.iter (fun (u, w) -> push u; push w) parts
-           | Eselect { a; lo; m } ->
-             push op_select; push d; push a; push lo; push m
-           | Ememrd { mi; a; size } ->
-             push op_memrd; push d; push mi; push a; push size))
-    plan.sched;
-  Array.of_list (List.rev !code)
-
-let exec_bytecode (code : int array) (iv : int array)
-    (mems : int array array) (wide : (unit -> unit) array) =
-  let n = Array.length code in
-  let g i = Array.unsafe_get code i in
-  let rd i = Array.unsafe_get iv i in
-  let wr i v = Array.unsafe_set iv i v in
-  let pc = ref 0 in
-  while !pc < n do
-    let p = !pc in
-    match g p with
-    | 0 (* not *) ->
-      wr (g (p + 1)) (lnot (rd (g (p + 2))) land g (p + 3));
-      pc := p + 4
-    | 1 (* and *) ->
-      wr (g (p + 1)) (rd (g (p + 2)) land rd (g (p + 3)));
-      pc := p + 4
-    | 2 (* or *) ->
-      wr (g (p + 1)) (rd (g (p + 2)) lor rd (g (p + 3)));
-      pc := p + 4
-    | 3 (* xor *) ->
-      wr (g (p + 1)) (rd (g (p + 2)) lxor rd (g (p + 3)));
-      pc := p + 4
-    | 4 (* add *) ->
-      wr (g (p + 1)) ((rd (g (p + 2)) + rd (g (p + 3))) land g (p + 4));
-      pc := p + 5
-    | 5 (* sub *) ->
-      wr (g (p + 1)) ((rd (g (p + 2)) - rd (g (p + 3))) land g (p + 4));
-      pc := p + 5
-    | 6 (* mul *) ->
-      wr (g (p + 1)) (rd (g (p + 2)) * rd (g (p + 3)));
-      pc := p + 4
-    | 7 (* eq *) ->
-      wr (g (p + 1)) (if rd (g (p + 2)) = rd (g (p + 3)) then 1 else 0);
-      pc := p + 4
-    | 8 (* ult *) ->
-      wr (g (p + 1)) (if rd (g (p + 2)) < rd (g (p + 3)) then 1 else 0);
-      pc := p + 4
-    | 9 (* slt *) ->
-      let sb = g (p + 4) in
-      wr (g (p + 1))
-        (if rd (g (p + 2)) lxor sb < rd (g (p + 3)) lxor sb then 1 else 0);
-      pc := p + 5
-    | 10 (* mux2 *) ->
-      wr (g (p + 1))
-        (if rd (g (p + 2)) = 0 then rd (g (p + 3)) else rd (g (p + 4)));
-      pc := p + 5
-    | 11 (* muxn *) ->
-      let nc = g (p + 3) in
-      let i = rd (g (p + 2)) in
-      let i = if i >= nc then nc - 1 else i in
-      wr (g (p + 1)) (rd (g (p + 4 + i)));
-      pc := p + 4 + nc
-    | 12 (* concat *) ->
-      let np = g (p + 2) in
-      let acc = ref 0 in
-      for i = 0 to np - 1 do
-        acc := (!acc lsl g (p + 4 + (2 * i))) lor rd (g (p + 3 + (2 * i)))
-      done;
-      wr (g (p + 1)) !acc;
-      pc := p + 3 + (2 * np)
-    | 13 (* select *) ->
-      wr (g (p + 1)) ((rd (g (p + 2)) lsr g (p + 3)) land g (p + 4));
-      pc := p + 5
-    | 14 (* memrd *) ->
-      let a = rd (g (p + 3)) in
-      wr (g (p + 1))
-        (if a < g (p + 4) then
-           Array.unsafe_get (Array.unsafe_get mems (g (p + 2))) a
-         else 0);
-      pc := p + 5
-    | _ (* wide *) ->
-      (Array.unsafe_get wide (g (p + 1))) ();
-      pc := p + 2
-  done
-
-let fallback_maker (base : Sim_compiled.t) (plan : plan) : maker =
-  let full = bytecode_of plan (fun _ -> true) in
-  let input = bytecode_of plan (fun s -> J.is_input_dep base s.Signal.uid) in
-  let state = bytecode_of plan (fun s -> J.is_state_dep base s.Signal.uid) in
-  fun iv _bv mems _bmems wide ->
-    ( (fun () -> exec_bytecode full iv mems wide),
-      (fun () -> exec_bytecode input iv mems wide),
-      None (* keep the host's commit loops *),
-      None (* no batched free-run: per-cycle dispatch via the host *),
-      [| (fun () -> exec_bytecode state iv mems wide) |] )
-
-(* ---- the shared settle-parallelism pool ---- *)
-
-let pool : Parallel.Pool.t option ref = ref None
-
-let set_domains n =
-  if n < 1 then invalid_arg "Sim_jit.set_domains: must be >= 1";
-  domains_ref := n;
-  (match !pool with Some p -> Parallel.Pool.shutdown p | None -> ());
-  pool := None
-
-let domains () = !domains_ref
-
-let get_pool () =
-  match !pool with
-  | Some p when Parallel.Pool.size p = !domains_ref -> p
-  | Some p ->
-    Parallel.Pool.shutdown p;
-    let p = Parallel.Pool.create !domains_ref in
-    pool := Some p;
-    p
-  | None ->
-    let p = Parallel.Pool.create !domains_ref in
-    pool := Some p;
-    p
-
 (* ---- backend instance ---- *)
 
 type t = {
@@ -1375,55 +1111,51 @@ type t = {
   inlined : bool array; (* uid -> register-allocated (slot never written) *)
 }
 
+(* The native kernel of [plan], or [None] — with the reason recorded in
+   [last_build] — when it cannot be had. *)
 let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
   let now = Unix.gettimeofday in
   let t0 = now () in
-  let finish bmode maker ~process_hit ~disk_hit ~cg ~cc =
+  let record bmode ~process_hit ~disk_hit ~cg ~cc =
     let load_s =
       match bmode with Native -> now () -. t0 -. cg -. cc | Fallback _ -> 0.0
     in
     let emitted, closures, inl =
-      Array.fold_left
-        (fun (e, c, i) ((s : Signal.t), p) ->
-          match p with
-          | Emit _ ->
-            (e + 1, c, if plan.materialized.(s.Signal.uid) then i else i + 1)
-          | Closure _ ->
-            (* Wide steps the native codegen covers count as emitted;
-               the fallback always runs them through the table. *)
-            (match bmode with
-             | Native when wide_stmt_of plan s <> None -> (e + 1, c, i)
-             | _ -> (e, c + 1, i)))
-        (0, 0, 0) plan.sched
+      match bmode with
+      | Fallback _ -> (0, Array.length plan.sched, 0)
+      | Native ->
+        Array.fold_left
+          (fun (e, c, i) ((s : Signal.t), p) ->
+            match p with
+            | Emit _ ->
+              (e + 1, c, if plan.materialized.(s.Signal.uid) then i else i + 1)
+            | Closure _ ->
+              (* Wide steps the native codegen covers count as emitted. *)
+              if wide_stmt_of plan s <> None then (e + 1, c, i)
+              else (e, c + 1, i))
+          (0, 0, 0) plan.sched
     in
     last_build_ref :=
       Some
         { bmode; hash; process_cache_hit = process_hit;
           disk_cache_hit = disk_hit; codegen_seconds = cg; compile_seconds = cc;
           load_seconds = load_s; emitted_nodes = emitted;
-          closure_nodes = closures;
-          inlined_nodes = (match bmode with Native -> inl | Fallback _ -> 0);
-          state_parts =
-            (match bmode with Native -> plan.n_parts | Fallback _ -> 1) };
-    maker
+          closure_nodes = closures; inlined_nodes = inl }
   in
-  if !force_fallback then
-    (* Checked before every cache layer: a kernel this process already
-       linked must not leak through when the fallback is forced. *)
-    finish
-      (Fallback "forced by configuration")
-      (fallback_maker base plan)
-      ~process_hit:false ~disk_hit:false ~cg:0.0 ~cc:0.0
-  else if Hashtbl.mem seen hash && Hashtbl.mem loaded hash then
-    finish Native (Hashtbl.find loaded hash) ~process_hit:true ~disk_hit:false
-      ~cg:0.0 ~cc:0.0
+  let native m ~process_hit ~disk_hit ~cg ~cc =
+    record Native ~process_hit ~disk_hit ~cg ~cc;
+    Some m
+  in
+  if Hashtbl.mem seen hash && Hashtbl.mem loaded hash then
+    native (Hashtbl.find loaded hash) ~process_hit:true ~disk_hit:false ~cg:0.0
+      ~cc:0.0
   else begin
     Hashtbl.replace seen hash ();
     match Hashtbl.find_opt loaded hash with
     | Some m ->
       (* linked earlier in this process; equivalent to a disk hit *)
       incr disk_hits;
-      finish Native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
+      native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
     | None ->
       (try
          if not Dynlink.is_native then raise (Fell_back "bytecode host");
@@ -1446,7 +1178,7 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
            in
            let t2 = !t2 in
            Hashtbl.replace loaded hash m;
-           finish Native m ~process_hit:false ~disk_hit:false ~cg:(t1 -. t0)
+           native m ~process_hit:false ~disk_hit:false ~cg:(t1 -. t0)
              ~cc:(t2 -. t1)
          in
          if Sys.file_exists cmxs then begin
@@ -1457,7 +1189,7 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
            | m ->
              incr disk_hits;
              Hashtbl.replace loaded hash m;
-             finish Native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
+             native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
            | exception Fell_back _ ->
              (* Corrupt or stale entry (the interface fingerprint in
                 the key makes this rare): rebuild it; the rename
@@ -1470,15 +1202,10 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
            compile_fresh ()
          end
        with Fell_back reason ->
-         finish (Fallback reason)
-           (fallback_maker base plan)
-           ~process_hit:false ~disk_hit:false ~cg:0.0 ~cc:0.0)
+         record (Fallback reason) ~process_hit:false ~disk_hit:false ~cg:0.0
+           ~cc:0.0;
+         None)
   end
-
-let mode_of_stats () =
-  match !last_build_ref with
-  | Some { bmode; _ } -> bmode
-  | None -> Fallback "no build yet"
 
 (* Kernel acquisition touches process-wide state — the lazy toolchain
    probes, the kernel tables, the cache counters, [Dynlink] — so
@@ -1488,81 +1215,59 @@ let acquire_lock = Mutex.create ()
 let create circuit =
   let base = Sim_compiled.create circuit in
   let plan = build_plan base circuit in
-  let maker, mode =
+  let maker =
     Mutex.protect acquire_lock (fun () ->
         let hash =
           Digest.to_hex
             (Digest.string (canonical_hash plan ^ Lazy.force iface_fingerprint))
         in
-        let maker = obtain_maker base plan ~hash in
-        (maker, mode_of_stats ()))
+        obtain_maker base plan ~hash)
   in
-  (* Per-instance closure table, in the same schedule order the
-     codegen assigned indices. *)
-  let wide = Array.make (max 1 plan.n_closures) (fun () -> ()) in
-  let k = ref 0 in
-  Array.iter2
-    (fun ((_ : Signal.t), p) ((_ : Signal.t), f) ->
-      match p with
-      | Closure _ ->
-        wide.(!k) <- f;
-        incr k
-      | Emit _ -> ())
-    plan.sched (J.step_nodes base);
-  let mems =
-    Array.of_list
-      (List.map
-         (fun (m : Signal.memory) ->
-           match J.imem base m with Some arr -> arr | None -> [||])
-         circuit.Circuit.memories)
-  in
-  let bmems =
-    Array.of_list
-      (List.map
-         (fun (m : Signal.memory) ->
-           match J.bmem base m with Some arr -> arr | None -> [||])
-         circuit.Circuit.memories)
-  in
-  let full, input, commit, run, state_parts =
-    maker (J.ivals base) (J.bvals base) mems bmems wide
-  in
-  let state =
-    if Array.length state_parts = 1 then state_parts.(0)
-    else
-      fun () ->
-        if !domains_ref > 1 then
-          Parallel.Pool.run (get_pool ())
-            (fun i -> state_parts.(i) ())
-            (Array.length state_parts)
-        else Array.iter (fun f -> f ()) state_parts
-  in
-  J.set_schedules base ~full:[| full |] ~input:[| input |] ~state:[| state |];
-  Option.iter (J.set_commit base) commit;
-  (* The batched free-run bypasses the partitioned-parallel state
-     settle, so it stands down (returns false -> host loops cycle by
-     cycle) while multi-domain settle is on. *)
-  Option.iter
-    (fun r ->
-      J.set_run base (fun n ->
-          if !domains_ref > 1 then false
-          else begin
-            r n;
-            true
-          end))
-    run;
-  let inlined = Array.make (max 1 circuit.Circuit.max_uid) false in
-  (match mode with
-   | Native ->
-     Array.iter
-       (fun ((s : Signal.t), p) ->
-         match p with
-         | Emit _ ->
-           if not plan.materialized.(s.Signal.uid) then
-             inlined.(s.Signal.uid) <- true
-         | Closure _ -> ())
-       plan.sched
-   | Fallback _ -> ());
-  { base; inlined }
+  match maker with
+  | None -> { base; inlined = [||] }
+  | Some maker ->
+    (* Per-instance closure table, in the same schedule order the
+       codegen assigned indices. *)
+    let wide = Array.make (max 1 plan.n_closures) (fun () -> ()) in
+    let k = ref 0 in
+    Array.iter2
+      (fun ((_ : Signal.t), p) ((_ : Signal.t), f) ->
+        match p with
+        | Closure _ ->
+          wide.(!k) <- f;
+          incr k
+        | Emit _ -> ())
+      plan.sched (J.step_nodes base);
+    let mems =
+      Array.of_list
+        (List.map
+           (fun (m : Signal.memory) ->
+             match J.imem base m with Some arr -> arr | None -> [||])
+           circuit.Circuit.memories)
+    in
+    let bmems =
+      Array.of_list
+        (List.map
+           (fun (m : Signal.memory) ->
+             match J.bmem base m with Some arr -> arr | None -> [||])
+           circuit.Circuit.memories)
+    in
+    let full, input, commit, run, state =
+      maker (J.ivals base) (J.bvals base) mems bmems wide
+    in
+    J.set_schedules base ~full:[| full |] ~input:[| input |] ~state:[| state |];
+    J.set_commit base commit;
+    Option.iter (J.set_run base) run;
+    let inlined = Array.make (max 1 circuit.Circuit.max_uid) false in
+    Array.iter
+      (fun ((s : Signal.t), p) ->
+        match p with
+        | Emit _ ->
+          if not plan.materialized.(s.Signal.uid) then
+            inlined.(s.Signal.uid) <- true
+        | Closure _ -> ())
+      plan.sched;
+    { base; inlined }
 
 let settle t = Sim_compiled.settle t.base
 let cycle t = Sim_compiled.cycle t.base

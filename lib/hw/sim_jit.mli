@@ -9,10 +9,10 @@
     is [Sim_compiled]'s machinery, so the backends stay bit-identical
     by construction.  Compiled kernels are cached in process (keyed by
     a canonical netlist hash) and on disk ([_jit_cache/] under the
-    working directory by default); when the toolchain or [Dynlink] is
-    unavailable the backend falls back to a self-contained
-    threaded-code specializer, automatically, and records the reason
-    in {!last_build}.
+    working directory by default).  When no kernel can be built or
+    loaded (no native toolchain, bytecode host, compile failure) the
+    instance simply keeps [Sim_compiled]'s own schedules, and
+    {!last_build} records [Fallback] with the reason.
 
     One observable difference from the other backends:
     {!Sim_intf.S.peek_signal} on an anonymous single-use node raises
@@ -31,23 +31,22 @@ include Sim_intf.S
 type maker =
   int array -> Bits.t array -> int array array -> Bits.t array array ->
   (unit -> unit) array ->
-  (unit -> unit) * (unit -> unit) * ((unit -> unit) -> unit) option
-  * (int -> unit) option * (unit -> unit) array
+  (unit -> unit) * (unit -> unit) * ((unit -> unit) -> unit)
+  * (int -> unit) option * (unit -> unit)
 (** What a generated plugin registers: given the instance's int slot
     array, its wide ([Bits.t]) slot array, its narrow- and wide-memory
     contents (both in circuit memory order, [[||]] in the list a
     memory is not part of) and its table of kept wide-node closures
     (a safety net — the emitter covers every current shape natively),
-    produce the [(full, input, commit, run, state_parts)] functions.
-    The commit ([None] from the fallback specializer, which keeps the
-    host's index-array loops) is the clear-less registers' latch as
-    straight-line code: it samples into locals, calls its argument —
-    the host phases that must read pre-commit slots — exactly once,
-    then writes (see {!Sim_compiled.Jit_support.set_commit}).  The
-    run, emitted when the circuit has no cleared registers, is the
-    batched free-run: n x {commit incl. memory write ports;
-    state-cone settle} in one native loop, engaged by [cycles] when
-    no observer is registered. *)
+    produce the [(full, input, commit, run, state)] functions.  The
+    commit is the clear-less registers' latch as straight-line code:
+    it samples into locals, calls its argument — the host phases that
+    must read pre-commit slots — exactly once, then writes (see
+    {!Sim_compiled.Jit_support.set_commit}).  The run, emitted when
+    the circuit has no cleared registers, is the batched free-run:
+    n x {commit incl. memory write ports; state-cone settle} in one
+    native loop, engaged by [cycles] when no observer is
+    registered. *)
 
 val register_kernel : maker -> unit
 (** Called by the dynlinked plugin's toplevel initializer.  Not for
@@ -62,19 +61,6 @@ val cache_dir : unit -> string
 
 val set_cache_dir : string -> unit
 
-val force_fallback : bool ref
-(** When [true], skip the native toolchain and always use the
-    threaded-code specializer (used by tests and benches to exercise
-    the fallback path deterministically). *)
-
-val set_domains : int -> unit
-(** Number of domains used to run the partitioned state cone
-    (default 1: sequential).  Affects every JIT simulator from the
-    next settle on; shuts down and recreates the shared worker pool,
-    so do not call it concurrently with running simulators. *)
-
-val domains : unit -> int
-
 (** {1 Build statistics and cache control} *)
 
 type mode = Native | Fallback of string  (** fallback reason *)
@@ -87,10 +73,9 @@ type build_stats = {
   codegen_seconds : float;
   compile_seconds : float;
   load_seconds : float;
-  emitted_nodes : int;
-  closure_nodes : int;
+  emitted_nodes : int;  (** nodes lowered to native code *)
+  closure_nodes : int;  (** nodes left to their compiled closures *)
   inlined_nodes : int;
-  state_parts : int;
 }
 
 val last_build : unit -> build_stats option

@@ -124,7 +124,7 @@ type replica_stats = {
   r_queue_depth_sum : int;
   r_queue_depth_max : int;
   r_violations : int;
-  r_latency : Workload.Histogram.t;
+  r_latency : Melastic.Histogram.t;
 }
 
 type report = { per_replica : replica_stats array; wall_seconds : float }
@@ -138,7 +138,7 @@ let run_replica (type job res) ~index ~(classes : class_config array)
   let unresolved = ref n in
   let out = ref [] in
   let completed = ref 0 and shed = ref 0 and timed_out = ref 0 in
-  let latency = Workload.Histogram.create () in
+  let latency = Melastic.Histogram.create () in
   let cycles = ref 0 in
   let next_arrival = ref 0 in
   let resolve id oc =
@@ -165,7 +165,7 @@ let run_replica (type job res) ~index ~(classes : class_config array)
       (function
         | Host.Completed { id; result; latency = l; slot } ->
           incr completed;
-          Workload.Histogram.add latency l;
+          Melastic.Histogram.add latency l;
           resolve id (Completed { result; latency = l; replica = index; slot })
         | Host.Timed_out { id; tries } ->
           incr timed_out;
@@ -270,9 +270,9 @@ let mean_occupancy r =
     /. float_of_int slot_cycles
 
 let latency r =
-  let all = Workload.Histogram.create () in
+  let all = Melastic.Histogram.create () in
   Array.iter
-    (fun s -> Workload.Histogram.merge_into ~into:all s.r_latency)
+    (fun s -> Melastic.Histogram.merge_into ~into:all s.r_latency)
     r.per_replica;
   all
 
@@ -295,10 +295,10 @@ let summary r =
        (cycles_per_job r) (mean_occupancy r));
   Buffer.add_string buf
     (Printf.sprintf "latency cycles: p50 %d  p95 %d  p99 %d  max %d\n"
-       (Workload.Histogram.percentile lat 0.50)
-       (Workload.Histogram.percentile lat 0.95)
-       (Workload.Histogram.percentile lat 0.99)
-       (Workload.Histogram.max_value lat));
+       (Melastic.Histogram.percentile lat 0.50)
+       (Melastic.Histogram.percentile lat 0.95)
+       (Melastic.Histogram.percentile lat 0.99)
+       (Melastic.Histogram.max_value lat));
   Array.iter
     (fun s ->
       Buffer.add_string buf

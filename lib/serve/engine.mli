@@ -144,7 +144,7 @@ type replica_stats = {
   r_queue_depth_sum : int;
   r_queue_depth_max : int;
   r_violations : int;
-  r_latency : Workload.Histogram.t;
+  r_latency : Melastic.Histogram.t;
       (** completed-job latencies, streamed into fixed log buckets *)
 }
 
@@ -183,9 +183,9 @@ val total_cycles : report -> int
 val mean_occupancy : report -> float
 (** Cycle-weighted mean of the per-replica occupancies. *)
 
-val latency : report -> Workload.Histogram.t
+val latency : report -> Melastic.Histogram.t
 (** All completed-job latencies across replicas, merged into one
-    histogram (use {!Workload.Histogram.percentile} for quantiles). *)
+    histogram (use {!Melastic.Histogram.percentile} for quantiles). *)
 
 val jobs_per_second : report -> float
 (** Completed jobs over the fan-out wall clock. *)

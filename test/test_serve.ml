@@ -272,13 +272,13 @@ let test_latency_histogram () =
   let report = Serve.Engine.run ~domains:1 t in
   let lat = Serve.Engine.latency report in
   Alcotest.(check int) "one sample per completion" 8
-    (Workload.Histogram.count lat);
-  let p50 = Workload.Histogram.percentile lat 0.5 in
-  let p99 = Workload.Histogram.percentile lat 0.99 in
+    (Melastic.Histogram.count lat);
+  let p50 = Melastic.Histogram.percentile lat 0.5 in
+  let p99 = Melastic.Histogram.percentile lat 0.99 in
   Alcotest.(check bool) "p50 positive" true (p50 > 0);
   Alcotest.(check bool) "quantiles ordered" true (p50 <= p99);
   Alcotest.(check bool) "p99 bounded by max" true
-    (p99 <= Workload.Histogram.max_value lat)
+    (p99 <= Melastic.Histogram.max_value lat)
 
 (* Regression: the queue-depth gauge samples the per-cycle PEAK
    backlog, so a job that transits the queue within a single cycle

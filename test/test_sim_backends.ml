@@ -11,12 +11,6 @@ let both circuit =
   ( Hw.Sim.create ~backend:Hw.Sim.Interp circuit,
     Hw.Sim.create ~backend:Hw.Sim.Compiled circuit )
 
-(* Run [f] with the JIT pinned to its threaded-code specializer. *)
-let with_forced_fallback f =
-  let saved = !Hw.Sim_jit.force_fallback in
-  Hw.Sim_jit.force_fallback := true;
-  Fun.protect ~finally:(fun () -> Hw.Sim_jit.force_fallback := saved) f
-
 (* Compare every output of two simulators of the same circuit. *)
 let check_outputs tag si sc =
   List.iter
@@ -681,15 +675,53 @@ let test_jit_random_circuits () =
     drive_lockstep ~cycles:20 st si sj
   done
 
-(* The threaded-code specializer (the no-toolchain fallback) must be
-   just as bit-exact; it is cheap to build, so cover more circuits. *)
-let test_jit_fallback_equivalence () =
-  with_forced_fallback (fun () ->
+(* Run [f] with every JIT build genuinely failing: the compiler is
+   pointed at an empty include directory, where the generated kernel
+   cannot find [Hw] or [Bits].  The interface fingerprint that is part
+   of every cache key is computed lazily from the include directories,
+   so a native build (the first circuit of the random lockstep above)
+   forces it first and the empty directory cannot leak into later
+   keys.  The failed builds write into a private cache directory. *)
+let with_failing_jit_builds f =
+  ignore
+    (Hw.Sim.create ~backend:Hw.Sim.Jit
+       (random_circuit (Random.State.make [| 0x217 |])));
+  let saved = Hw.Sim_jit.cache_dir () in
+  let cache = Filename.temp_dir "elastic_jit_test" "" in
+  let includes = Filename.temp_dir "elastic_jit_noinc" "" in
+  Hw.Sim_jit.set_cache_dir cache;
+  Unix.putenv "ELASTIC_JIT_INCLUDES" includes;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "ELASTIC_JIT_INCLUDES" "";
+      Hw.Sim_jit.clear_disk_cache ();
+      Hw.Sim_jit.set_cache_dir saved;
+      Sys.rmdir includes)
+    f
+
+(* When no kernel can be built, the JIT instance keeps the compiled
+   backend's own schedules: it must say so in [last_build] and still
+   be bit-exact.  The netlists are ones no other test builds, so no
+   kernel comes from the in-process table. *)
+let test_jit_genuine_fallback () =
+  with_failing_jit_builds (fun () ->
       let st = Random.State.make [| 0x3ab |] in
-      for _ = 1 to 8 do
+      for i = 1 to 4 do
         let circuit = random_circuit st in
-        let si = Hw.Sim.create ~backend:Hw.Sim.Interp circuit in
         let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+        let b = Option.get (Hw.Sim_jit.last_build ()) in
+        let tag = Printf.sprintf "circuit %d" i in
+        (match b.Hw.Sim_jit.bmode with
+         | Hw.Sim_jit.Fallback reason ->
+           Alcotest.(check bool)
+             (Printf.sprintf "%s: fallback reason %S" tag reason)
+             true
+             (String.starts_with ~prefix:"compile failed" reason)
+         | Hw.Sim_jit.Native ->
+           Alcotest.failf "%s: kernel built against an empty include path" tag);
+        Alcotest.(check int) (tag ^ ": no inlined nodes") 0
+          b.Hw.Sim_jit.inlined_nodes;
+        let si = Hw.Sim.create ~backend:Hw.Sim.Interp circuit in
         drive_lockstep ~cycles:20 st si sj
       done)
 
@@ -711,47 +743,35 @@ let test_md5_on_jit () =
 (* The batched free-run ([Hw.Sim.cycles] with no observers) must be
    bit-identical to stepping [cycle] in a loop — across the generated
    loop's internal chunk boundary (1024) — and must leave the instance
-   consistent for further stepping.  With a multi-domain settle the
-   JIT declines the batch and the host loops [cycle]; that path, and
-   the partitioned-parallel settle itself, must agree too. *)
+   consistent for further stepping. *)
 let test_jit_cycles_batching () =
-  let watch = [ "round_counter"; "sync_ok" ] in
-  let run ~domains =
-    let circuit = md5_jit_circuit () in
-    let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
-    let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled circuit in
-    Hw.Sim_jit.set_domains domains;
-    Fun.protect
-      ~finally:(fun () -> Hw.Sim_jit.set_domains 1)
-      (fun () ->
-        let tag = Printf.sprintf "domains=%d" domains in
-        let compare_watch phase =
-          List.iter
-            (fun name ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s: probe %s" tag phase name)
-                true
-                (Bits.equal (Hw.Sim.peek sc name) (Hw.Sim.peek sj name)))
-            watch
-        in
-        List.iter
-          (fun s ->
-            Hw.Sim.poke_int s "msg_valid" 3;
-            Hw.Sim.poke_int s "digest_ready" 3)
-          [ sj; sc ];
-        Hw.Sim.cycles sj 1100;
-        for _ = 1 to 1100 do Hw.Sim.cycle sc done;
-        check_outputs (tag ^ " batched vs stepped") sc sj;
-        compare_watch "batched";
-        (* The instance must keep working after the batch. *)
-        List.iter (fun s -> Hw.Sim.poke_int s "msg_valid" 0) [ sj; sc ];
-        Hw.Sim.cycles sj 7;
-        for _ = 1 to 7 do Hw.Sim.cycle sc done;
-        check_outputs (tag ^ " post-batch stepping") sc sj;
-        compare_watch "post-batch")
+  let circuit = md5_jit_circuit () in
+  let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+  let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled circuit in
+  let compare_watch phase =
+    List.iter
+      (fun name ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: probe %s" phase name)
+          true
+          (Bits.equal (Hw.Sim.peek sc name) (Hw.Sim.peek sj name)))
+      [ "round_counter"; "sync_ok" ]
   in
-  run ~domains:1;
-  run ~domains:2
+  List.iter
+    (fun s ->
+      Hw.Sim.poke_int s "msg_valid" 3;
+      Hw.Sim.poke_int s "digest_ready" 3)
+    [ sj; sc ];
+  Hw.Sim.cycles sj 1100;
+  for _ = 1 to 1100 do Hw.Sim.cycle sc done;
+  check_outputs "batched vs stepped" sc sj;
+  compare_watch "batched";
+  (* The instance must keep working after the batch. *)
+  List.iter (fun s -> Hw.Sim.poke_int s "msg_valid" 0) [ sj; sc ];
+  Hw.Sim.cycles sj 7;
+  for _ = 1 to 7 do Hw.Sim.cycle sc done;
+  check_outputs "post-batch stepping" sc sj;
+  compare_watch "post-batch"
 
 (* A corrupt disk-cache entry — a truncated kernel, or garbage behind
    an ELF magic number, each next to a well-formed digest file — must
@@ -782,10 +802,10 @@ let test_jit_cache_corruption () =
       let donor_digest = read_file (donor_path ^ ".digest") in
       let corrupt tag contents =
         let circuit = random_circuit st in
-        (* The forced fallback computes the netlist hash without
-           compiling or loading anything. *)
+        (* A build that genuinely fails yields the netlist hash
+           without producing or loading a kernel. *)
         let hash =
-          with_forced_fallback (fun () ->
+          with_failing_jit_builds (fun () ->
               ignore (Hw.Sim.create ~backend:Hw.Sim.Jit circuit);
               (build ()).Hw.Sim_jit.hash)
         in
@@ -808,6 +828,78 @@ let test_jit_cache_corruption () =
       corrupt "truncated" (String.sub donor 0 (String.length donor / 2));
       corrupt "garbage"
         ("\x7fELF" ^ String.init 4096 (fun _ -> Char.chr (Random.State.int st 256))))
+
+(* Two processes building the same kernel at once into one fresh
+   cache: both must come up native and agree bit for bit, and the
+   entry they leave behind must be whole — a published kernel that
+   passes its digest check and no staging directory.  The builders
+   are the [jit_builder] helper started with [Unix.create_process_env]
+   (forking a process that has run domains is unsafe). *)
+let test_jit_concurrent_builders () =
+  let saved = Hw.Sim_jit.cache_dir () in
+  let cache = Filename.temp_dir "elastic_jit_test" "" in
+  Hw.Sim_jit.set_cache_dir cache;
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Hw.Sim_jit.clear_disk_cache ();
+      Hw.Sim_jit.set_cache_dir saved)
+    (fun () ->
+      let exe =
+        Filename.concat (Filename.dirname Sys.executable_name) "jit_builder.exe"
+      in
+      let env =
+        Array.append
+          [| "ELASTIC_JIT_CACHE=" ^ cache |]
+          (Array.of_list
+             (List.filter
+                (fun kv -> not (String.starts_with ~prefix:"ELASTIC_JIT_CACHE=" kv))
+                (Array.to_list (Unix.environment ()))))
+      in
+      let start () =
+        let out = Filename.temp_file "jit_builder" ".out" in
+        let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+        let pid =
+          Unix.create_process_env exe [| exe; "200" |] env Unix.stdin fd
+            Unix.stderr
+        in
+        Unix.close fd;
+        (pid, out)
+      in
+      let builders = [ start (); start () ] in
+      let outputs =
+        List.mapi
+          (fun i (pid, out) ->
+            let _, status = Unix.waitpid [] pid in
+            let text = read_file out in
+            Sys.remove out;
+            Alcotest.(check bool)
+              (Printf.sprintf "builder %d exits 0" i)
+              true (status = Unix.WEXITED 0);
+            Alcotest.(check bool)
+              (Printf.sprintf "builder %d is native" i)
+              true
+              (String.starts_with ~prefix:"mode native\n" text);
+            text)
+          builders
+      in
+      let text = List.hd outputs in
+      Alcotest.(check string) "builders agree bit for bit" text
+        (List.nth outputs 1);
+      let hash =
+        match String.split_on_char '\n' text with
+        | _ :: h :: _ when String.starts_with ~prefix:"hash " h ->
+          String.sub h 5 (String.length h - 5)
+        | _ -> Alcotest.fail "no hash line"
+      in
+      let cmxs = Hw.Sim_jit.kernel_path ~hash in
+      Alcotest.(check string) "published kernel matches its digest"
+        (Digest.to_hex (Digest.file cmxs))
+        (String.trim (read_file (cmxs ^ ".digest")));
+      Alcotest.(check (list string)) "no staging directory left" []
+        (List.filter
+           (String.starts_with ~prefix:"stage-")
+           (Array.to_list (Sys.readdir (Filename.dirname cmxs)))))
 
 let suite =
   ( "sim-backends",
@@ -833,10 +925,12 @@ let suite =
         test_port_lifetime;
       Alcotest.test_case "jit random circuits lockstep" `Quick
         test_jit_random_circuits;
-      Alcotest.test_case "jit fallback specializer lockstep" `Quick
-        test_jit_fallback_equivalence;
+      Alcotest.test_case "jit genuine fallback lockstep" `Quick
+        test_jit_genuine_fallback;
       Alcotest.test_case "md5 workload (jit)" `Quick test_md5_on_jit;
       Alcotest.test_case "jit batched cycles vs stepping" `Quick
         test_jit_cycles_batching;
       Alcotest.test_case "jit cache rebuilds corrupt entries" `Quick
-        test_jit_cache_corruption ] )
+        test_jit_cache_corruption;
+      Alcotest.test_case "jit concurrent builders, one cache" `Quick
+        test_jit_concurrent_builders ] )

@@ -247,31 +247,31 @@ let test_stats () =
 
 let test_histogram_exact_small () =
   (* Values up to 63 land in unit buckets: percentiles are exact. *)
-  let h = Workload.Histogram.create () in
+  let h = Melastic.Histogram.create () in
   for v = 0 to 63 do
-    Workload.Histogram.add h v
+    Melastic.Histogram.add h v
   done;
-  Alcotest.(check int) "count" 64 (Workload.Histogram.count h);
-  Alcotest.(check int) "max" 63 (Workload.Histogram.max_value h);
-  Alcotest.(check int) "p100 exact" 63 (Workload.Histogram.percentile h 1.0);
-  Alcotest.(check int) "p50 exact" 31 (Workload.Histogram.percentile h 0.5);
-  Alcotest.(check int) "min rank" 0 (Workload.Histogram.percentile h 0.0);
-  Alcotest.(check (float 0.001)) "mean" 31.5 (Workload.Histogram.mean h)
+  Alcotest.(check int) "count" 64 (Melastic.Histogram.count h);
+  Alcotest.(check int) "max" 63 (Melastic.Histogram.max_value h);
+  Alcotest.(check int) "p100 exact" 63 (Melastic.Histogram.percentile h 1.0);
+  Alcotest.(check int) "p50 exact" 31 (Melastic.Histogram.percentile h 0.5);
+  Alcotest.(check int) "min rank" 0 (Melastic.Histogram.percentile h 0.0);
+  Alcotest.(check (float 0.001)) "mean" 31.5 (Melastic.Histogram.mean h)
 
 let test_histogram_bounded_error () =
   (* Large values bucket at 32 sub-buckets per octave: any quantile
      lands within ~3.2% above the true value, never below it, and the
      top quantile is clamped to the exact observed max. *)
-  let h = Workload.Histogram.create () in
+  let h = Melastic.Histogram.create () in
   List.iter
     (fun v ->
       for _ = 1 to 100 do
-        Workload.Histogram.add h v
+        Melastic.Histogram.add h v
       done)
     [ 1_000; 10_000; 1_000_000 ];
   List.iter
     (fun (p, true_v) ->
-      let q = Workload.Histogram.percentile h p in
+      let q = Melastic.Histogram.percentile h p in
       Alcotest.(check bool)
         (Printf.sprintf "p%.2f >= true" p)
         true (q >= true_v);
@@ -281,22 +281,22 @@ let test_histogram_bounded_error () =
         (float_of_int q <= 1.032 *. float_of_int true_v))
     [ (0.2, 1_000); (0.5, 10_000) ];
   Alcotest.(check int) "p100 clamps to max" 1_000_000
-    (Workload.Histogram.percentile h 1.0);
+    (Melastic.Histogram.percentile h 1.0);
   Alcotest.(check bool) "negative adds clamp to 0" true
-    (let h = Workload.Histogram.create () in
-     Workload.Histogram.add h (-5);
-     Workload.Histogram.percentile h 1.0 = 0)
+    (let h = Melastic.Histogram.create () in
+     Melastic.Histogram.add h (-5);
+     Melastic.Histogram.percentile h 1.0 = 0)
 
 let test_histogram_merge () =
-  let a = Workload.Histogram.create () in
-  let b = Workload.Histogram.create () in
-  List.iter (Workload.Histogram.add a) [ 1; 2; 3 ];
-  List.iter (Workload.Histogram.add b) [ 100; 200 ];
-  Workload.Histogram.merge_into ~into:a b;
-  Alcotest.(check int) "merged count" 5 (Workload.Histogram.count a);
-  Alcotest.(check int) "merged max" 200 (Workload.Histogram.max_value a);
-  Alcotest.(check int) "b untouched" 2 (Workload.Histogram.count b);
-  Alcotest.(check int) "merged p20" 1 (Workload.Histogram.percentile a 0.2)
+  let a = Melastic.Histogram.create () in
+  let b = Melastic.Histogram.create () in
+  List.iter (Melastic.Histogram.add a) [ 1; 2; 3 ];
+  List.iter (Melastic.Histogram.add b) [ 100; 200 ];
+  Melastic.Histogram.merge_into ~into:a b;
+  Alcotest.(check int) "merged count" 5 (Melastic.Histogram.count a);
+  Alcotest.(check int) "merged max" 200 (Melastic.Histogram.max_value a);
+  Alcotest.(check int) "b untouched" 2 (Melastic.Histogram.count b);
+  Alcotest.(check int) "merged p20" 1 (Melastic.Histogram.percentile a 0.2)
 
 let suite =
   ( "workload",
