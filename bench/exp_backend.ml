@@ -73,20 +73,11 @@ let run () =
   Printf.printf "interp:   %10.0f cycles/s\n" interp;
   Printf.printf "compiled: %10.0f cycles/s\n" compiled;
   Printf.printf "speedup:  %9.2fx\n%!" speedup;
-  let oc = open_out "BENCH_backend.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"backend-compare\",\n\
-    \  \"kernel\": \"%s\",\n\
-    \  \"equivalence_cycles\": %d,\n\
-    \  \"equivalent\": %b,\n\
-    \  \"interp_cycles_per_sec\": %.1f,\n\
-    \  \"compiled_cycles_per_sec\": %.1f,\n\
-    \  \"speedup\": %.2f\n\
-     }\n"
-    kernel_name eq_cycles equivalent interp compiled speedup;
-  close_out oc;
-  print_endline "wrote BENCH_backend.json";
+  Bench_json.write ~experiment:"backend-compare" "BENCH_backend.json"
+    Melastic.Json.
+      [ ("kernel", String kernel_name); ("equivalence_cycles", Int eq_cycles);
+        ("equivalent", Bool equivalent); ("interp_cycles_per_sec", Float interp);
+        ("compiled_cycles_per_sec", Float compiled); ("speedup", Float speedup) ];
   if not equivalent then begin
     Printf.eprintf
       "FAIL backend-compare: kernel=%S backends=interp,compiled cycles=%d \

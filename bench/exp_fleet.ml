@@ -83,15 +83,16 @@ let print_point p =
      else "")
 
 let point_json p =
-  Printf.sprintf
-    "{ \"label\": \"%s\", \"scale\": %.1f, \"requests\": %d, \"completed\": \
-     %d, \"cache_hits\": %d, \"coalesced\": %d, \"retired\": %d, \"shed\": \
-     %d, \"dispatched\": %d, \"steals\": %d, \"cycles\": %d, \"occupancy\": \
-     %.4f, \"p50\": %d, \"p95\": %d, \"p99\": %d, \"p999\": %d, \
-     \"kq_max_observed\": %d, \"kq_bound\": %d, \"violations\": %d }"
-    p.p_label p.p_scale p.p_requests p.p_completed p.p_cache_hits p.p_coalesced
-    p.p_retired p.p_shed p.p_dispatched p.p_steals p.p_cycles p.p_occupancy
-    p.p_p50 p.p_p95 p.p_p99 p.p_p999 p.p_kq_max p.p_kq_bound p.p_violations
+  Melastic.Json.(
+    Obj
+      [ ("label", String p.p_label); ("scale", Float p.p_scale); ("requests", Int p.p_requests);
+        ("completed", Int p.p_completed); ("cache_hits", Int p.p_cache_hits);
+        ("coalesced", Int p.p_coalesced); ("retired", Int p.p_retired); ("shed", Int p.p_shed);
+        ("dispatched", Int p.p_dispatched); ("steals", Int p.p_steals);
+        ("cycles", Int p.p_cycles); ("occupancy", Float p.p_occupancy); ("p50", Int p.p_p50);
+        ("p95", Int p.p_p95); ("p99", Int p.p_p99); ("p999", Int p.p_p999);
+        ("kq_max_observed", Int p.p_kq_max); ("kq_bound", Int p.p_kq_bound);
+        ("violations", Int p.p_violations) ])
 
 (* ---- workload & fleet construction ---- *)
 
@@ -265,53 +266,35 @@ let run ?(quick = false) ?domains () =
     (fun (name, ok) ->
       Printf.printf "gate %-28s %s\n%!" name (if ok then "ok" else "FAILED"))
     gates;
-  let oc = open_out "BENCH_fleet.json" in
   let scaling_json =
     let points =
-      Printf.sprintf "[ %s ]"
-        (String.concat ", "
-           (List.map
-              (fun (n, jobs, s, jps, (p50, p95, p99)) ->
-                Printf.sprintf
-                  "{ \"hosts\": %d, \"completed\": %d, \"seconds\": %.3f, \
-                   \"jobs_per_second\": %.1f, \"queue_depth_p50\": %d, \
-                   \"queue_depth_p95\": %d, \"queue_depth_p99\": %d }"
-                  n jobs s jps p50 p95 p99)
-              scaling))
+      Melastic.Json.(
+        List
+          (List.map
+             (fun (n, jobs, s, jps, (p50, p95, p99)) ->
+               Obj
+                 [ ("hosts", Int n); ("completed", Int jobs); ("seconds", Float s);
+                   ("jobs_per_second", Float jps); ("queue_depth_p50", Int p50);
+                   ("queue_depth_p95", Int p95); ("queue_depth_p99", Int p99) ])
+             scaling))
     in
     if sequential then
-      Printf.sprintf "{ \"skipped\": \"single core\", \"points\": %s }" points
+      Melastic.Json.(Obj [ ("skipped", String "single core"); ("points", points) ])
     else points
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fleet\",\n\
-    \  \"quick\": %b,\n\
-    \  \"backend\": \"%s\",\n\
-    \  \"hosts\": %d,\n\
-    \  \"slots_per_host\": %d,\n\
-    \  \"base_rate\": %.2f,\n\
-    \  \"sweep\": [\n    %s\n  ],\n\
-    \  \"determinism\": { \"replay_identical\": %b, \
-     \"stealing_on_off_identical\": %b, \"fingerprint\": \"%s\" },\n\
-    \  \"host_scaling\": %s,\n\
-    \  \"domains\": %d,\n\
-    \  \"gates\": { %s },\n\
-    \  \"violations\": %d\n\
-     }\n"
-    quick
-    (Hw.Sim.backend_to_string !Hw.Sim.default_backend)
-    hosts slots base_rate
-    (String.concat ",\n    "
-       (List.concat_map
-          (fun (_, fe, base) -> [ point_json fe; point_json base ])
-          sweep))
-    replay_ok steal_invariant_ok fp_a scaling_json domains
-    (String.concat ", "
-       (List.map (fun (n, ok) -> Printf.sprintf "\"%s\": %b" n ok) gates))
-    total_violations;
-  close_out oc;
-  print_endline "wrote BENCH_fleet.json";
+  Bench_json.write ~experiment:"fleet" ~quick ~backend:true "BENCH_fleet.json"
+    Melastic.Json.
+      [ ("hosts", Int hosts); ("slots_per_host", Int slots); ("base_rate", Float base_rate);
+        ( "sweep",
+          List (List.concat_map (fun (_, fe, base) -> [ point_json fe; point_json base ]) sweep) );
+        ( "determinism",
+          Obj
+            [ ("replay_identical", Bool replay_ok);
+              ("stealing_on_off_identical", Bool steal_invariant_ok);
+              ("fingerprint", String fp_a) ] );
+        ("host_scaling", scaling_json); ("domains", Int domains);
+        ("gates", Obj (List.map (fun (n, ok) -> (n, Bool ok)) gates));
+        ("violations", Int total_violations) ];
   let failed = List.filter (fun (_, ok) -> not ok) gates in
   if failed <> [] then begin
     Printf.eprintf

@@ -15,21 +15,15 @@
    misses its verdict or the reduction factor collapses. *)
 
 let spec_json (o : Mc.outcome) =
-  let props =
-    String.concat ", "
-      (List.map
-         (fun (p, c) -> Printf.sprintf "\"%s\": %d" p c)
-         o.Mc.props)
-  in
-  Printf.sprintf
-    "{ \"spec\": \"%s\", \"mode\": \"%s\", \"backend\": \"%s\", \"states\": \
-     %d, \"edges\": %d, \"max_depth\": %d, \"data_collapsed\": %b, \
-     \"truncated\": %b, \"props\": { %s }, \"clean\": %b, \"ok\": %b }"
-    o.Mc.spec_label
-    (Mc.mode_to_string o.Mc.mode)
-    o.Mc.backend o.Mc.stats.Mc.states o.Mc.stats.Mc.edges
-    o.Mc.stats.Mc.max_depth o.Mc.stats.Mc.data_collapsed
-    o.Mc.stats.Mc.truncated props o.Mc.clean o.Mc.ok
+  Melastic.Json.(
+    Obj
+      [ ("spec", String o.Mc.spec_label); ("mode", String (Mc.mode_to_string o.Mc.mode));
+        ("backend", String o.Mc.backend); ("states", Int o.Mc.stats.Mc.states);
+        ("edges", Int o.Mc.stats.Mc.edges); ("max_depth", Int o.Mc.stats.Mc.max_depth);
+        ("data_collapsed", Bool o.Mc.stats.Mc.data_collapsed);
+        ("truncated", Bool o.Mc.stats.Mc.truncated);
+        ("props", Obj (List.map (fun (p, c) -> (p, Int c)) o.Mc.props));
+        ("clean", Bool o.Mc.clean); ("ok", Bool o.Mc.ok) ])
 
 let run ?(quick = false) () =
   let failures = ref 0 in
@@ -97,37 +91,20 @@ let run ?(quick = false) () =
     incr failures
   end;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let oc = open_out "BENCH_mc.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"mc\",\n\
-    \  \"quick\": %b,\n\
-    \  \"elapsed_s\": %.2f,\n\
-    \  \"verdicts\": [\n\
-    \    %s\n\
-    \  ],\n\
-    \  \"reduction\": {\n\
-    \    \"naive_states\": %d,\n\
-    \    \"reduced_states\": %d,\n\
-    \    \"factor\": %.2f,\n\
-    \    \"pairs\": [\n\
-    \      %s\n\
-    \    ]\n\
-    \  },\n\
-    \  \"failures\": %d\n\
-     }\n"
-    quick elapsed
-    (String.concat ",\n    " (List.map spec_json verdicts))
-    naive_states reduced_states factor
-    (String.concat ",\n      "
-       (List.map
-          (fun (n, r) ->
-            Printf.sprintf "{ \"naive\": %s,\n        \"reduced\": %s }"
-              (spec_json n) (spec_json r))
-          pairs))
-    !failures;
-  close_out oc;
-  Printf.printf "wrote BENCH_mc.json (%.1fs, %d failure%s)\n%!" elapsed
-    !failures
+  Bench_json.write ~experiment:"mc" ~quick "BENCH_mc.json"
+    Melastic.Json.
+      [ ("elapsed_s", Float elapsed);
+        ("verdicts", List (List.map spec_json verdicts));
+        ( "reduction",
+          Obj
+            [ ("naive_states", Int naive_states); ("reduced_states", Int reduced_states);
+              ("factor", Float factor);
+              ( "pairs",
+                List
+                  (List.map
+                     (fun (n, r) -> Obj [ ("naive", spec_json n); ("reduced", spec_json r) ])
+                     pairs) ) ] );
+        ("failures", Int !failures) ];
+  Printf.printf "mc: %.1fs, %d failure%s\n%!" elapsed !failures
     (if !failures = 1 then "" else "s");
   !failures

@@ -116,23 +116,21 @@ let print_point p =
      else "")
 
 let point_json p =
-  let area =
-    String.concat ", "
-      (List.map
-         (fun (r, ports, (row : Fpga.Report.row)) ->
-           Printf.sprintf
-             "{ \"router\": %d, \"ports\": %d, \"les\": %d, \"ffs\": %d, \
-              \"fmax_mhz\": %.1f }"
-             r ports row.Fpga.Report.les row.Fpga.Report.ffs
-             row.Fpga.Report.fmax_mhz)
-         p.t_area)
-  in
-  Printf.sprintf
-    "{ \"topology\": \"%s\", \"terminals\": %d, \"routers\": %d, \
-     \"completed\": %d, \"cycles\": %d, \"jobs_per_kilocycle\": %.3f, \
-     \"speedup\": %.3f, \"violations\": %d, \"router_area\": [ %s ] }"
-    p.t_name p.t_terminals p.t_routers p.t_completed p.t_cycles p.t_jpk
-    p.t_speedup p.t_violations area
+  Melastic.Json.(
+    Obj
+      [ ("topology", String p.t_name); ("terminals", Int p.t_terminals);
+        ("routers", Int p.t_routers); ("completed", Int p.t_completed);
+        ("cycles", Int p.t_cycles); ("jobs_per_kilocycle", Float p.t_jpk);
+        ("speedup", Float p.t_speedup); ("violations", Int p.t_violations);
+        ( "router_area",
+          List
+            (List.map
+               (fun (r, ports, (row : Fpga.Report.row)) ->
+                 Obj
+                   [ ("router", Int r); ("ports", Int ports); ("les", Int row.Fpga.Report.les);
+                     ("ffs", Int row.Fpga.Report.ffs);
+                     ("fmax_mhz", Float row.Fpga.Report.fmax_mhz) ])
+               p.t_area) ) ])
 
 let run ?(quick = false) ?domains () =
   Printf.printf
@@ -173,29 +171,16 @@ let run ?(quick = false) ?domains () =
   in
   Printf.printf "best speedup: %.2fx (%s); violations: %d\n%!" (snd best)
     (fst best) violations;
-  let oc = open_out "BENCH_noc.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"noc\",\n\
-    \  \"quick\": %b,\n\
-    \  \"backend\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"slots_per_core\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"baseline\": { \"completed\": %d, \"cycles\": %d, \
-     \"jobs_per_kilocycle\": %.3f, \"violations\": %d },\n\
-    \  \"topologies\": [\n    %s\n  ],\n\
-    \  \"best_topology\": \"%s\",\n\
-    \  \"best_speedup\": %.3f,\n\
-    \  \"violations\": %d\n\
-     }\n"
-    quick
-    (Hw.Sim.backend_to_string !Hw.Sim.default_backend)
-    cores slots jobs base_completed base_cycles base_jpk base_violations
-    (String.concat ",\n    " (List.map point_json points))
-    (fst best) (snd best) violations;
-  close_out oc;
-  print_endline "wrote BENCH_noc.json";
+  Bench_json.write ~experiment:"noc" ~quick ~backend:true "BENCH_noc.json"
+    Melastic.Json.
+      [ ("cores", Int cores); ("slots_per_core", Int slots); ("jobs", Int jobs);
+        ( "baseline",
+          Obj
+            [ ("completed", Int base_completed); ("cycles", Int base_cycles);
+              ("jobs_per_kilocycle", Float base_jpk); ("violations", Int base_violations) ] );
+        ("topologies", List (List.map point_json points));
+        ("best_topology", String (fst best)); ("best_speedup", Float (snd best));
+        ("violations", Int violations) ];
   if violations > 0 || snd best < 2.0 then begin
     Printf.eprintf
       "FAIL noc: backend=%s cores=%d slots=%d jobs=%d best=%s \

@@ -265,9 +265,8 @@ let time_sweep ~tasks ~domains ~seed =
 
 (* ---- JSON fragments ---- *)
 
-let json_opt_string = function
-  | None -> "null"
-  | Some s -> Printf.sprintf "%S" s
+let json_opt_string =
+  Option.fold ~none:Melastic.Json.Null ~some:(fun s -> Melastic.Json.String s)
 
 let build_json (b : Hw.Sim_jit.build_stats) =
   let mode_s, reason =
@@ -275,22 +274,20 @@ let build_json (b : Hw.Sim_jit.build_stats) =
     | Hw.Sim_jit.Native -> ("native", None)
     | Hw.Sim_jit.Fallback r -> ("fallback", Some r)
   in
-  Printf.sprintf
-    "{ \"mode\": %S, \"fallback_reason\": %s, \"hash\": %S, \
-     \"process_cache_hit\": %b, \"disk_cache_hit\": %b, \
-     \"codegen_seconds\": %.4f, \"compile_seconds\": %.4f, \
-     \"load_seconds\": %.4f, \"emitted_nodes\": %d, \"closure_nodes\": %d, \
-     \"inlined_nodes\": %d }"
-    mode_s (json_opt_string reason) b.hash b.process_cache_hit b.disk_cache_hit
-    b.codegen_seconds b.compile_seconds b.load_seconds b.emitted_nodes
-    b.closure_nodes b.inlined_nodes
+  Melastic.Json.(
+    Obj
+      [ ("mode", String mode_s); ("fallback_reason", json_opt_string reason);
+        ("hash", String b.hash); ("process_cache_hit", Bool b.process_cache_hit);
+        ("disk_cache_hit", Bool b.disk_cache_hit); ("codegen_seconds", Float b.codegen_seconds);
+        ("compile_seconds", Float b.compile_seconds); ("load_seconds", Float b.load_seconds);
+        ("emitted_nodes", Int b.emitted_nodes); ("closure_nodes", Int b.closure_nodes);
+        ("inlined_nodes", Int b.inlined_nodes) ])
 
 let mode_json t =
-  Printf.sprintf "{ \"cycles_per_sec\": %.1f, \"create_seconds\": %.4f%s }"
-    t.cps t.create_seconds
-    (match t.build with
-    | None -> ""
-    | Some b -> ", \"build\": " ^ build_json b)
+  Melastic.Json.(
+    Obj
+      ([ ("cycles_per_sec", Float t.cps); ("create_seconds", Float t.create_seconds) ]
+      @ Option.to_list (Option.map (fun b -> ("build", build_json b)) t.build)))
 
 (* ---- top level ---- *)
 
@@ -430,91 +427,51 @@ let run ?(quick = false) ?domains ?(clear_cache = false)
       (t1, tn)
     end
   in
-  let oc = open_out "BENCH_sim_perf.json" in
   let kernel_json l =
-    let modes_s =
-      String.concat ",\n"
-        (List.map
-           (fun t ->
-             Printf.sprintf "        %S: %s" t.tmode.mlabel (mode_json t))
-           l)
-    in
-    Printf.sprintf
-      "{\n\
-      \      \"modes\": {\n\
-       %s\n\
-      \      },\n\
-      \      \"optimize_speedup\": %.3f,\n\
-      \      \"compiled_speedup_over_interp\": %.3f,\n\
-      \      \"jit_speedup_over_compiled_optimize\": %.3f\n\
-      \    }"
-      modes_s
-      (ratio l "compiled_optimize" "compiled")
-      (ratio l "compiled" "interp")
-      (ratio l "jit" "compiled_optimize")
+    Melastic.Json.(
+      Obj
+        [ ("modes", Obj (List.map (fun t -> (t.tmode.mlabel, mode_json t)) l));
+          ("optimize_speedup", Float (ratio l "compiled_optimize" "compiled"));
+          ("compiled_speedup_over_interp", Float (ratio l "compiled" "interp"));
+          ( "jit_speedup_over_compiled_optimize",
+            Float (ratio l "jit" "compiled_optimize") ) ])
   in
-  let matrix_json =
-    String.concat ",\n"
-      (List.map
-         (fun (kname, blabel, ok) ->
-           Printf.sprintf
-             "      { \"kernel\": %S, \"backend\": %S, \"ok\": %b }" kname
-             blabel ok)
-         matrix)
-  in
-  let warm_creates_json =
-    String.concat ", "
-      (List.map
-         (fun (l, s) -> Printf.sprintf "%S: %.4f" l s)
-         warm_creates)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"sim-perf\",\n\
-    \  \"quick\": %b,\n\
-    \  \"kernels\": {\n\
-    \    \"md5_reduced_8t\": %s,\n\
-    \    \"cpu_4t\": %s\n\
-    \  },\n\
-    \  \"headline\": { \"kernel\": \"md5_reduced_8t\", \"jit_mode\": %S, \
-     \"fallback_reason\": %s, \"jit_cycles_per_sec\": %.1f, \
-     \"target\": %s, \"met\": %b },\n\
-    \  \"equivalence\": {\n\
-    \    \"cycles\": %d,\n\
-    \    \"ok\": %b,\n\
-    \    \"matrix\": [\n\
-     %s\n\
-    \    ]\n\
-    \  },\n\
-    \  \"jit_cache\": {\n\
-    \    \"first_run\": { \"disk_hits\": %d, \"disk_misses\": %d },\n\
-    \    \"warm_rerun\": { \"disk_hits\": %d, \"disk_misses\": %d, \
-     \"create_seconds\": { %s }, \"all_hits\": %b }\n\
-    \  },\n\
-    \  \"sweep\": %s\n\
-     }\n"
-    quick (kernel_json md5) (kernel_json cpu)
-    (if jit_native then "native" else "fallback")
-    (json_opt_string fallback_reason)
-    jit_cps
-    "\"1000000 cycles/sec\""
-    headline_met eq_cycles equivalent matrix_json first_hits first_misses
-    warm_hits warm_misses warm_creates_json warm_all_hits
-    (let t1, tn = sweep in
-     Printf.sprintf
-       "{\n\
-       %s\
-       \    \"tasks\": %d,\n\
-       \    \"seconds_at_1_domain\": %.3f,\n\
-       \    \"seconds_at_n_domains\": %.3f,\n\
-       \    \"domains\": %d,\n\
-       \    \"speedup\": %.3f,\n\
-       \    \"cores_available\": %d\n\
-       \  }"
-       (if sequential then "    \"skipped\": \"single core\",\n" else "")
-       sweep_tasks t1 tn domains (t1 /. tn) cores);
-  close_out oc;
-  print_endline "wrote BENCH_sim_perf.json";
+  let t1, tn = sweep in
+  Bench_json.write ~experiment:"sim-perf" ~quick "BENCH_sim_perf.json"
+    Melastic.Json.
+      [ ("kernels", Obj [ ("md5_reduced_8t", kernel_json md5); ("cpu_4t", kernel_json cpu) ]);
+        ( "headline",
+          Obj
+            [ ("kernel", String "md5_reduced_8t");
+              ("jit_mode", String (if jit_native then "native" else "fallback"));
+              ("fallback_reason", json_opt_string fallback_reason);
+              ("jit_cycles_per_sec", Float jit_cps); ("target", String "1000000 cycles/sec");
+              ("met", Bool headline_met) ] );
+        ( "equivalence",
+          Obj
+            [ ("cycles", Int eq_cycles); ("ok", Bool equivalent);
+              ( "matrix",
+                List
+                  (List.map
+                     (fun (kname, blabel, ok) ->
+                       Obj
+                         [ ("kernel", String kname); ("backend", String blabel); ("ok", Bool ok) ])
+                     matrix) ) ] );
+        ( "jit_cache",
+          Obj
+            [ ( "first_run",
+                Obj [ ("disk_hits", Int first_hits); ("disk_misses", Int first_misses) ] );
+              ( "warm_rerun",
+                Obj
+                  [ ("disk_hits", Int warm_hits); ("disk_misses", Int warm_misses);
+                    ("create_seconds", Obj (List.map (fun (l, s) -> (l, Float s)) warm_creates));
+                    ("all_hits", Bool warm_all_hits) ] ) ] );
+        ( "sweep",
+          Obj
+            ((if sequential then [ ("skipped", String "single core") ] else [])
+            @ [ ("tasks", Int sweep_tasks); ("seconds_at_1_domain", Float t1);
+                ("seconds_at_n_domains", Float tn); ("domains", Int domains);
+                ("speedup", Float (t1 /. tn)); ("cores_available", Int cores) ]) ) ];
   if not equivalent then begin
     Printf.eprintf
       "FAIL perf: equivalence matrix has mismatching cells (see MISMATCH \

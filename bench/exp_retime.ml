@@ -199,28 +199,24 @@ let print_arm a =
     (100.0 *. ((tpl a.a_retimed a.a_retimed_area /. tpl a.a_uniform a.a_uniform_area) -. 1.0))
 
 let arm_json a =
+  let open Melastic.Json in
   let dec d =
-    Printf.sprintf
-      "{ \"site\": \"%s\", \"peak\": %d, \"profiled\": %b, \"cfg\": \"%s\", \
-       \"capacity\": %d }"
-      d.Synth.Retime.d_site d.Synth.Retime.d_peak d.Synth.Retime.d_profiled
-      (Melastic.Placement.cfg_to_string d.Synth.Retime.d_cfg)
-      d.Synth.Retime.d_capacity
+    Obj
+      [ ("site", String d.Synth.Retime.d_site); ("peak", Int d.Synth.Retime.d_peak);
+        ("profiled", Bool d.Synth.Retime.d_profiled);
+        ("cfg", String (Melastic.Placement.cfg_to_string d.Synth.Retime.d_cfg));
+        ("capacity", Int d.Synth.Retime.d_capacity) ]
   in
   let run_j r (row : Fpga.Report.row) =
-    Printf.sprintf
-      "{ \"tokens\": %d, \"cycles\": %d, \"violations\": %d, \"les\": %d, \
-       \"ffs\": %d, \"throughput_per_le\": %.6e }"
-      r.r_tokens r.r_cycles r.r_violations row.Fpga.Report.les
-      row.Fpga.Report.ffs (tpl r row)
+    Obj
+      [ ("tokens", Int r.r_tokens); ("cycles", Int r.r_cycles);
+        ("violations", Int r.r_violations); ("les", Int row.Fpga.Report.les);
+        ("ffs", Int row.Fpga.Report.ffs); ("throughput_per_le", Float (tpl r row)) ]
   in
-  Printf.sprintf
-    "{ \"design\": \"%s\", \"decisions\": [ %s ], \"uniform\": %s, \
-     \"retimed\": %s }"
-    a.a_design
-    (String.concat ", " (List.map dec a.a_decisions))
-    (run_j a.a_uniform a.a_uniform_area)
-    (run_j a.a_retimed a.a_retimed_area)
+  Obj
+    [ ("design", String a.a_design); ("decisions", List (List.map dec a.a_decisions));
+      ("uniform", run_j a.a_uniform a.a_uniform_area);
+      ("retimed", run_j a.a_retimed a.a_retimed_area) ]
 
 (* Table-I no-drift: an explicit uniform placement must elaborate to
    the exact netlist the placement-free path produced. *)
@@ -323,25 +319,13 @@ let run ?(quick = false) ?domains () =
       [ md5_arm; cpu_arm ]
   in
   let improved a = tpl a.a_retimed a.a_retimed_area > tpl a.a_uniform a.a_uniform_area in
-  let oc = open_out "BENCH_retime.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"retime\",\n\
-    \  \"quick\": %b,\n\
-    \  \"backend\": \"%s\",\n\
-    \  \"threads\": %d,\n\
-    \  \"arms\": [\n    %s,\n    %s\n  ],\n\
-    \  \"interp_vs_compiled_equivalent\": %b,\n\
-    \  \"table1_drift\": [%s],\n\
-    \  \"violations\": %d\n\
-     }\n"
-    quick
-    (Hw.Sim.backend_to_string !Hw.Sim.default_backend)
-    threads (arm_json md5_arm) (arm_json cpu_arm) equivalent
-    (String.concat ", " (List.map (Printf.sprintf "\"%s\"") drift))
-    violations;
-  close_out oc;
-  print_endline "wrote BENCH_retime.json";
+  Bench_json.write ~experiment:"retime" ~quick ~backend:true "BENCH_retime.json"
+    Melastic.Json.
+      [ ("threads", Int threads);
+        ("arms", List [ arm_json md5_arm; arm_json cpu_arm ]);
+        ("interp_vs_compiled_equivalent", Bool equivalent);
+        ("table1_drift", List (List.map (fun d -> String d) drift));
+        ("violations", Int violations) ];
   if
     violations > 0 || (not equivalent) || drift <> []
     || not (improved md5_arm && improved cpu_arm)

@@ -67,13 +67,13 @@ let print_point label p =
      else "")
 
 let point_json p =
-  Printf.sprintf
-    "{ \"rate\": %.4f, \"jobs\": %d, \"completed\": %d, \"shed\": %d, \
-     \"cycles\": %d, \"occupancy\": %.4f, \"queue_depth\": %.2f, \
-     \"p50\": %d, \"p95\": %d, \"p99\": %d, \"jobs_per_kilocycle\": %.3f, \
-     \"violations\": %d }"
-    p.p_rate p.p_jobs p.p_completed p.p_shed p.p_cycles p.p_occupancy
-    p.p_queue_depth p.p_p50 p.p_p95 p.p_p99 p.p_achieved p.p_violations
+  Melastic.Json.(
+    Obj
+      [ ("rate", Float p.p_rate); ("jobs", Int p.p_jobs); ("completed", Int p.p_completed);
+        ("shed", Int p.p_shed); ("cycles", Int p.p_cycles); ("occupancy", Float p.p_occupancy);
+        ("queue_depth", Float p.p_queue_depth); ("p50", Int p.p_p50); ("p95", Int p.p_p95);
+        ("p99", Int p.p_p99); ("jobs_per_kilocycle", Float p.p_achieved);
+        ("violations", Int p.p_violations) ])
 
 (* ---- MD5 saturation sweep ---- *)
 
@@ -188,42 +188,25 @@ let run ?(quick = false) ?domains () =
   let violations =
     List.fold_left (fun a p -> a + p.p_violations) cpu.p_violations sweep
   in
-  let oc = open_out "BENCH_serve.json" in
   let scaling_json =
     let points =
-      Printf.sprintf "[ %s ]"
-        (String.concat ", "
-           (List.map
-              (fun (r, s, jps) ->
-                Printf.sprintf
-                  "{ \"replicas\": %d, \"seconds\": %.3f, \"jobs_per_second\": %.1f }"
-                  r s jps)
-              scaling))
+      Melastic.Json.(
+        List
+          (List.map
+             (fun (r, s, jps) ->
+               Obj [ ("replicas", Int r); ("seconds", Float s); ("jobs_per_second", Float jps) ])
+             scaling))
     in
     if sequential then
-      Printf.sprintf "{ \"skipped\": \"single core\", \"points\": %s }" points
+      Melastic.Json.(Obj [ ("skipped", String "single core"); ("points", points) ])
     else points
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"serve\",\n\
-    \  \"quick\": %b,\n\
-    \  \"backend\": \"%s\",\n\
-    \  \"md5_slots\": %d,\n\
-    \  \"md5_saturation\": [\n    %s\n  ],\n\
-    \  \"peak_occupancy\": %.4f,\n\
-    \  \"cpu\": %s,\n\
-    \  \"replica_scaling\": %s,\n\
-    \  \"domains\": %d,\n\
-    \  \"violations\": %d\n\
-     }\n"
-    quick
-    (Hw.Sim.backend_to_string !Hw.Sim.default_backend)
-    slots
-    (String.concat ",\n    " (List.map point_json sweep))
-    saturated (point_json cpu) scaling_json domains violations;
-  close_out oc;
-  print_endline "wrote BENCH_serve.json";
+  Bench_json.write ~experiment:"serve" ~quick ~backend:true "BENCH_serve.json"
+    Melastic.Json.
+      [ ("md5_slots", Int slots); ("md5_saturation", List (List.map point_json sweep));
+        ("peak_occupancy", Float saturated); ("cpu", point_json cpu);
+        ("replica_scaling", scaling_json); ("domains", Int domains);
+        ("violations", Int violations) ];
   if violations > 0 then begin
     Printf.eprintf
       "FAIL serve: backend=%s slots=%d jobs=%d rates=%d expected=0 protocol \

@@ -225,274 +225,120 @@ let gauge t name = Hashtbl.find_opt t.gauges name
 
 (* ---------- JSON ---------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let hist_to_json h =
-  let bs =
-    H.buckets h
-    |> List.map (fun (edge, c) -> Printf.sprintf "[%d,%d]" edge c)
-    |> String.concat ","
-  in
-  Printf.sprintf {|{"count":%d,"sum":%d,"max":%d,"buckets":[%s]}|} (H.count h)
-    (H.sum h) (H.max_value h) bs
+let hist_json h =
+  Json.Obj
+    [ ("count", Json.Int (H.count h));
+      ("sum", Json.Int (H.sum h));
+      ("max", Json.Int (H.max_value h));
+      ( "buckets",
+        Json.List
+          (List.map (fun (edge, c) -> Json.List [ Json.Int edge; Json.Int c ]) (H.buckets h)) ) ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "{\n  \"cycles\": %d,\n  \"channels\": [" t.cycles);
-  let first = ref true in
-  List.iter
-    (fun name ->
-      let cs = (Hashtbl.find t.channels name).ch_stats in
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      let fpt =
-        Array.to_list cs.cs_fires_per_thread
-        |> List.map string_of_int |> String.concat ","
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    {\"name\":\"%s\",\"threads\":%d,\"fires\":%d,\"fires_per_thread\":[%s],\"active_cycles\":%d,\"stall_cycles\":%d,\"backpressure_cycles\":%d,\"idle_cycles\":%d,\"occupancy\":%s}"
-           (escape name) cs.cs_threads cs.cs_fires fpt cs.cs_active_cycles
-           cs.cs_stall_cycles cs.cs_backpressure_cycles cs.cs_idle_cycles
-           (match cs.cs_occupancy with
-           | Some h -> hist_to_json h
-           | None -> "null")))
-    (channel_names t);
-  Buffer.add_string b "\n  ],\n  \"gauges\": [";
-  first := true;
-  List.iter
-    (fun name ->
-      let h = Hashtbl.find t.gauges name in
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "\n    {\"name\":\"%s\",\"hist\":%s}" (escape name)
-           (hist_to_json h)))
-    (gauge_names t);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
-
-let save t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc
-
-(* Minimal JSON reader — just enough for the schema [to_json] emits
-   (objects, arrays, strings, integers, null).  Keeping it local
-   avoids a parsing dependency the container doesn't have. *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Profile.load: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
+  let channel name =
+    let cs = (Hashtbl.find t.channels name).ch_stats in
+    Json.Obj
+      [ ("name", Json.String name);
+        ("threads", Json.Int cs.cs_threads);
+        ("fires", Json.Int cs.cs_fires);
+        ( "fires_per_thread",
+          Json.List (Array.to_list (Array.map (fun n -> Json.Int n) cs.cs_fires_per_thread)) );
+        ("active_cycles", Json.Int cs.cs_active_cycles);
+        ("stall_cycles", Json.Int cs.cs_stall_cycles);
+        ("backpressure_cycles", Json.Int cs.cs_backpressure_cycles);
+        ("idle_cycles", Json.Int cs.cs_idle_cycles);
+        ("occupancy", Option.fold ~none:Json.Null ~some:hist_json cs.cs_occupancy) ]
   in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
+  let gauge name =
+    Json.Obj
+      [ ("name", Json.String name); ("hist", hist_json (Hashtbl.find t.gauges name)) ]
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "bad escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 >= n then fail "bad \\u escape";
-          let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-          pos := !pos + 4;
-          Buffer.add_char b (Char.chr (code land 0xff))
-        | c -> Buffer.add_char b c);
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ("cycles", Json.Int t.cycles);
+         ("channels", Json.List (List.map channel (channel_names t)));
+         ("gauges", Json.List (List.map gauge (gauge_names t))) ])
+
+let save t path = Out_channel.with_open_text path (fun oc -> output_string oc (to_json t))
+
+(* Schema decoding.  Each reader takes the path of the value it reads
+   ("$.channels[1].fires"), so a mismatch names the offending field. *)
+
+exception Mismatch of string
+
+let mismatch path what =
+  raise (Mismatch (Printf.sprintf "Profile.of_json: %s: expected %s" path what))
+
+let as_int path = function Json.Int i -> i | _ -> mismatch path "an integer"
+let as_string path = function Json.String s -> s | _ -> mismatch path "a string"
+
+let as_list item path = function
+  | Json.List l -> List.mapi (fun i v -> item (Printf.sprintf "%s[%d]" path i) v) l
+  | _ -> mismatch path "a list"
+
+let field item path name = function
+  | Json.Obj members -> (
+    let path = path ^ "." ^ name in
+    match List.assoc_opt name members with
+    | Some v -> item path v
+    | None -> mismatch path "a field")
+  | _ -> mismatch path "an object"
+
+let as_hist path j =
+  let bucket path = function
+    | Json.List [ Json.Int edge; Json.Int c ] -> (edge, c)
+    | _ -> mismatch path "an [edge, count] pair"
   in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_string (parse_string ())
-    | Some '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then (incr pos; J_obj [])
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          let k = (skip_ws (); parse_string ()) in
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos; members ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        J_obj (List.rev !fields)
-      end
-    | Some '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then (incr pos; J_list [])
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos; elements ()
-          | Some ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements ();
-        J_list (List.rev !items)
-      end
-    | Some 't' -> pos := !pos + 4; J_bool true
-    | Some 'f' -> pos := !pos + 5; J_bool false
-    | Some 'n' -> pos := !pos + 4; J_null
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character";
-      let lit = String.sub s start (!pos - start) in
-      (try J_int (int_of_string lit)
-       with _ -> J_int (int_of_float (float_of_string lit)))
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
+  H.of_buckets ~sum:(field as_int path "sum" j) ~max_value:(field as_int path "max" j)
+    (field (as_list bucket) path "buckets" j)
 
-let j_field name = function
-  | J_obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let j_int ?(default = 0) j = match j with Some (J_int i) -> i | _ -> default
-
-let j_hist j =
-  match j with
-  | Some (J_obj _ as o) ->
-    let buckets =
-      match j_field "buckets" o with
-      | Some (J_list items) ->
-        List.filter_map
-          (function J_list [ J_int e; J_int c ] -> Some (e, c) | _ -> None)
-          items
-      | _ -> []
-    in
-    Some
-      (H.of_buckets
-         ~sum:(j_int (j_field "sum" o))
-         ~max_value:(j_int (j_field "max" o))
-         buckets)
-  | _ -> None
+let unique tbl path j =
+  let name = field as_string path "name" j in
+  if Hashtbl.mem tbl name then mismatch (path ^ ".name") "a name not used before";
+  name
 
 let of_json str =
-  let j = parse_json str in
   let t = create () in
-  t.cycles <- j_int (j_field "cycles" j);
-  (match j_field "channels" j with
-  | Some (J_list chans) ->
-    List.iter
-      (fun c ->
-        match j_field "name" c with
-        | Some (J_string name) ->
-          let threads = j_int ~default:1 (j_field "threads" c) in
-          let fpt =
-            match j_field "fires_per_thread" c with
-            | Some (J_list items) ->
-              let a = Array.make (max threads (List.length items)) 0 in
-              List.iteri (fun i v -> a.(i) <- j_int (Some v)) items;
-              a
-            | _ -> Array.make threads 0
-          in
-          let stats =
-            {
-              cs_threads = threads;
-              cs_fires = j_int (j_field "fires" c);
-              cs_fires_per_thread = fpt;
-              cs_active_cycles = j_int (j_field "active_cycles" c);
-              cs_stall_cycles = j_int (j_field "stall_cycles" c);
-              cs_backpressure_cycles = j_int (j_field "backpressure_cycles" c);
-              cs_idle_cycles = j_int (j_field "idle_cycles" c);
-              cs_occupancy = j_hist (j_field "occupancy" c);
-            }
-          in
-          Hashtbl.add t.channels name
-            { ch_stats = stats; ch_valid = None; ch_ready = None; ch_fire = None;
-              ch_derive_fire = false; ch_fire_threads = 0; ch_bp_mask = 0;
-              ch_occ = None };
-          t.channel_order <- name :: t.channel_order
-        | _ -> ())
-      chans
-  | _ -> ());
-  (match j_field "gauges" j with
-  | Some (J_list gs) ->
-    List.iter
-      (fun g ->
-        match (j_field "name" g, j_hist (j_field "hist" g)) with
-        | Some (J_string name), Some h ->
-          Hashtbl.add t.gauges name h;
-          t.gauge_order <- name :: t.gauge_order
-        | _ -> ())
-      gs
-  | _ -> ());
-  t
-
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let str = really_input_string ic len in
-  close_in ic;
-  of_json str
+  let channel path c =
+    let name = unique t.channels path c in
+    let counter k = field as_int path k c in
+    let threads = counter "threads" in
+    let fires_per_thread = Array.of_list (field (as_list as_int) path "fires_per_thread" c) in
+    if Array.length fires_per_thread <> threads then
+      mismatch (path ^ ".fires_per_thread") (Printf.sprintf "%d entries" threads);
+    let occupancy p = function Json.Null -> None | j -> Some (as_hist p j) in
+    let stats =
+      {
+        cs_threads = threads;
+        cs_fires = counter "fires";
+        cs_fires_per_thread = fires_per_thread;
+        cs_active_cycles = counter "active_cycles";
+        cs_stall_cycles = counter "stall_cycles";
+        cs_backpressure_cycles = counter "backpressure_cycles";
+        cs_idle_cycles = counter "idle_cycles";
+        cs_occupancy = field occupancy path "occupancy" c;
+      }
+    in
+    Hashtbl.add t.channels name
+      { ch_stats = stats; ch_valid = None; ch_ready = None; ch_fire = None;
+        ch_derive_fire = false; ch_fire_threads = 0; ch_bp_mask = 0;
+        ch_occ = None };
+    t.channel_order <- name :: t.channel_order
+  in
+  let gauge path g =
+    let name = unique t.gauges path g in
+    Hashtbl.add t.gauges name (field as_hist path "hist" g);
+    t.gauge_order <- name :: t.gauge_order
+  in
+  match Json.of_string str with
+  | Error e -> Error ("Profile.of_json: " ^ e)
+  | Ok j -> (
+    try
+      t.cycles <- field as_int "$" "cycles" j;
+      ignore (field (as_list channel) "$" "channels" j);
+      ignore (field (as_list gauge) "$" "gauges" j);
+      Ok t
+    with Mismatch msg -> Error msg)
 
 (* Fold the hardware channels and host gauges of [src] into [into]'s
    gauges, prefixing channel-derived gauges — used by the fleet layer

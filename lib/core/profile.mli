@@ -12,10 +12,11 @@
     - {b host gauges} — named {!Histogram}s fed by [observe] from
       plain software (queue depths, busy slots, in-flight tokens).
 
-    Both halves share one JSON schema ([to_json]/[save]/[load]), so a
-    profile captured during a workload run can be inspected offline
-    (`elsim profile`) or consumed by [Synth.Retime] as the input to
-    profile-guided buffer placement. *)
+    Both halves share one JSON schema ([to_json]/[save]/[of_json],
+    printed and parsed by {!Json}), so a profile captured during a
+    workload run can be inspected offline (`elsim profile`) or consumed
+    by [Synth.Retime] as the input to profile-guided buffer
+    placement. *)
 
 type t
 
@@ -103,9 +104,10 @@ val merge_gauges : into:t -> t -> unit
 val to_json : t -> string
 val save : t -> string -> unit
 
-val of_json : string -> t
+val of_json : string -> (t, string) result
 (** Inverse of {!to_json} up to histogram bucket quantization (counts,
     sums, maxima and hence means/percentiles are exact).  The result
-    is host-only: statistics are readable, watching raises. *)
-
-val load : string -> t
+    is host-only: statistics are readable, watching raises.  Text that
+    is not JSON, or does not follow the schema (a missing field, a
+    non-integer counter, a non-histogram [occupancy], a repeated name),
+    gives [Error] naming the offset or the field. *)

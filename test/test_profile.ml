@@ -156,11 +156,14 @@ let check_channel_stats p =
 
 let test_profile_channels () = check_channel_stats (profiled_run ())
 
+let of_json_ok s =
+  match Profile.of_json s with Ok p -> p | Error e -> Alcotest.fail e
+
 let test_profile_json_roundtrip () =
   let p = profiled_run () in
   Profile.observe p "queue" 2;
   Profile.observe p "queue" 7;
-  let q = Profile.of_json (Profile.to_json p) in
+  let q = of_json_ok (Profile.to_json p) in
   Alcotest.(check int) "cycles" (Profile.cycles p) (Profile.cycles q);
   Alcotest.(check (list string)) "channel names" (Profile.channel_names p)
     (Profile.channel_names q);
@@ -197,6 +200,171 @@ let test_profile_gauges_merge () =
   Alcotest.(check (list string)) "gauge order" [ "qd"; "busy" ]
     (Profile.gauge_names a)
 
+(* ---- JSON: the printer, the strict reader and the schema ---- *)
+
+module Json = Melastic.Json
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A one-channel profile text with [name], [fires] and [occupancy]
+   spliced in verbatim. *)
+let one_channel ?(name = {|"c"|}) ?(fires = "1") ?(occupancy = "null") () =
+  Printf.sprintf
+    {|{"cycles":4,"channels":[{"name":%s,"threads":1,"fires":%s,"fires_per_thread":[1],"active_cycles":1,"stall_cycles":0,"backpressure_cycles":0,"idle_cycles":3,"occupancy":%s}],"gauges":[]}|}
+    name fires occupancy
+
+let rejects label text ~naming =
+  match Profile.of_json text with
+  | Ok _ -> Alcotest.failf "%s: accepted" label
+  | Error e ->
+    if not (contains e naming) then
+      Alcotest.failf "%s: error %S does not name %S" label e naming
+
+let test_json_strict () =
+  (match Profile.of_json (one_channel ()) with
+   | Ok p -> Alcotest.(check (list string)) "baseline loads" [ "c" ] (Profile.channel_names p)
+   | Error e -> Alcotest.fail e);
+  rejects "txyz is not true" (one_channel ~occupancy:"txyz" ()) ~naming:"offset";
+  rejects "nope is not null" (one_channel ~occupancy:"nope" ()) ~naming:"offset";
+  rejects "trailing text" (one_channel () ^ " trailing") ~naming:"trailing";
+  rejects "unterminated" {|{"cycles":4,"channels":[|} ~naming:"offset";
+  rejects "raw control character" (one_channel ~name:"\"a\nb\"" ()) ~naming:"control";
+  rejects "Latin-1 byte" (one_channel ~name:"\"caf\xe9\"" ()) ~naming:"UTF-8";
+  rejects "deep nesting" (String.make 100_000 '[') ~naming:"too deep";
+  rejects "fraction in an integer field" (one_channel ~fires:"1.9" ())
+    ~naming:"$.channels[0].fires";
+  rejects "string counter" (one_channel ~fires:{|"1"|} ()) ~naming:"$.channels[0].fires";
+  rejects "name not a string" (one_channel ~name:"7" ()) ~naming:"$.channels[0].name";
+  rejects "occupancy not a histogram" (one_channel ~occupancy:"[1,2]" ())
+    ~naming:"$.channels[0].occupancy";
+  rejects "histogram without sum"
+    (one_channel ~occupancy:{|{"count":1,"max":1,"buckets":[[1,1]]}|} ())
+    ~naming:"$.channels[0].occupancy.sum";
+  rejects "missing cycles" {|{"channels":[],"gauges":[]}|} ~naming:"$.cycles"
+
+let test_json_escapes () =
+  let name escaped =
+    match Profile.of_json (one_channel ~name:escaped ()) with
+    | Ok p -> List.hd (Profile.channel_names p)
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "\\r" "a\rb" (name {|"a\rb"|});
+  Alcotest.(check string) "\\b \\f \\/" "\b\012/" (name {|"\b\f\/"|});
+  Alcotest.(check string) "\\u00e9 decodes to UTF-8" "caf\xc3\xa9" (name {|"caf\u00e9"|});
+  Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" (name {|"\ud83d\ude00"|});
+  Alcotest.(check string) "raw UTF-8 kept" "caf\xc3\xa9" (name "\"caf\xc3\xa9\"");
+  Alcotest.(check string) "printer escapes"
+    "\"caf\xc3\xa9 \\u001b \\\"q\\\" \\\\ \\r\"\n"
+    (Json.to_string (Json.String "caf\xc3\xa9 \027 \"q\" \\ \r"));
+  let p = Profile.create () in
+  let odd = "caf\xc3\xa9 \027 \"q\" \\ \t" in
+  Profile.observe p odd 3;
+  match Profile.of_json (Profile.to_json p) with
+  | Ok q -> Alcotest.(check (list string)) "odd gauge name round trip" [ odd ] (Profile.gauge_names q)
+  | Error e -> Alcotest.fail e
+
+let test_json_layout () =
+  Alcotest.(check string) "two broken levels, then one line"
+    "{\n  \"a\": [\n    {\"b\":[1,2.5]},\n    null\n  ],\n  \"e\": [\n  ]\n}\n"
+    (Json.to_string
+       (Json.Obj
+          [ ("a", Json.List [ Json.Obj [ ("b", Json.List [ Json.Int 1; Json.Float 2.5 ]) ]; Json.Null ]);
+            ("e", Json.List []) ]));
+  Alcotest.(check string) "floats: shortest, always a float, non-finite is null"
+    "{\n  \"x\": [\n    [1.0,0.1,-0.0,1e+300,123456.789,null,null]\n  ]\n}\n"
+    (Json.to_string
+       (Json.Obj
+          [ ( "x",
+              Json.List
+                [ Json.List
+                    (List.map
+                       (fun f -> Json.Float f)
+                       [ 1.0; 0.1; -0.0; 1e300; 123456.789; nan; infinity ]) ] ) ]))
+
+(* Finite values with strings over every ASCII byte and valid
+   multi-byte UTF-8; object keys are kept unique (the reader rejects
+   duplicates). *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let ascii = map (fun c -> String.make 1 (Char.chr c)) (int_range 0 127) in
+  let utf8 =
+    map
+      (fun cp ->
+        let b = Buffer.create 4 in
+        Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+        Buffer.contents b)
+      (oneof
+         [ int_range 0x80 0x7ff; int_range 0x800 0xd7ff; int_range 0xe000 0xffff;
+           int_range 0x10000 0x10ffff ])
+  in
+  map (String.concat "") (list_size (int_range 0 8) (frequency [ (3, ascii); (1, utf8) ]))
+
+let gen_json =
+  let open QCheck.Gen in
+  let unique kvs =
+    List.rev
+      (List.fold_left
+         (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+         [] kvs)
+  in
+  let leaf =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; small_signed_int; oneofl [ min_int; max_int ] ]);
+        map (fun f -> Json.Float (if Float.is_finite f then f else 0.5)) float;
+        map (fun s -> Json.String s) gen_json_string ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           let items g = list_size (int_range 0 4) g in
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.List l) (items (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj (unique kvs))
+                   (items (pair gen_json_string (self (n / 4)))) ) ])
+
+let prop_json_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"json value roundtrip"
+       (QCheck.make ~print:Json.to_string gen_json)
+       (fun v -> Json.of_string (Json.to_string v) = Ok v))
+
+(* A real profile text (hardware channels with an occupancy histogram,
+   host gauges, a name with escapes and UTF-8) for the reader fuzz. *)
+let sample_json =
+  lazy
+    (let p = profiled_run () in
+     List.iter (Profile.observe p "queue") [ 2; 70; 700 ];
+     Profile.observe p "caf\xc3\xa9 \027 \"q\"" 1;
+     Profile.to_json p)
+
+let test_json_truncations () =
+  let s = Lazy.force sample_json in
+  let whole = String.length (String.trim s) in
+  for len = 0 to String.length s - 1 do
+    match Profile.of_json (String.sub s 0 len) with
+    | Ok _ when len >= whole -> ()
+    | Ok _ -> Alcotest.failf "prefix of %d bytes loaded" len
+    | Error _ -> ()
+  done
+
+let prop_json_mutations =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x15 |])
+    (QCheck.Test.make ~count:2000 ~name:"json mutations never raise"
+       QCheck.(pair (int_bound 1_000_000) (int_range 0 255))
+       (fun (pos, byte) ->
+         let b = Bytes.of_string (Lazy.force sample_json) in
+         Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+         match Profile.of_json (Bytes.to_string b) with Ok _ | Error _ -> true))
+
 (* ---- Placement ---- *)
 
 let red1 = { P.kind = Melastic.Meb.Reduced; stages = 1 }
@@ -222,7 +390,7 @@ let test_placement_lookup () =
    peak occupancy [peak]; [probe_bp] with heavy backpressure;
    [probe_idle] that never fired. *)
 let fake_profile ~cycles ~peak =
-  Profile.of_json
+  of_json_ok
     (Printf.sprintf
        {|{"cycles":%d,"channels":[
           {"name":"s1","threads":4,"fires":40,"fires_per_thread":[10,10,10,10],
@@ -350,6 +518,12 @@ let suite =
       Alcotest.test_case "channel statistics" `Quick test_profile_channels;
       Alcotest.test_case "json roundtrip" `Quick test_profile_json_roundtrip;
       Alcotest.test_case "gauge merge" `Quick test_profile_gauges_merge;
+      Alcotest.test_case "json strict reader" `Quick test_json_strict;
+      Alcotest.test_case "json escapes" `Quick test_json_escapes;
+      Alcotest.test_case "json layout" `Quick test_json_layout;
+      prop_json_roundtrip;
+      Alcotest.test_case "json truncations" `Quick test_json_truncations;
+      prop_json_mutations;
       Alcotest.test_case "placement lookup" `Quick test_placement_lookup;
       Alcotest.test_case "retime decide" `Quick test_retime_decide;
       Alcotest.test_case "retime deep pipelines" `Quick test_retime_decide_deep;
