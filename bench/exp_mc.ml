@@ -4,9 +4,9 @@
 
    - "verdicts": every spec of [Mc.suite] explored exhaustively in
      Reduced mode — states, edges, BFS radius, per-property violation
-     counts and the ok verdict (hazard specs are ok exactly when the
+     counts, the ok verdict (hazard specs are ok exactly when the
      documented counterexample class fires; everything else must be
-     clean).
+     clean) and the seconds it took; "edges_per_s" totals the sweep.
    - "reduction": the [Mc.naive_comparable] subset explored in both
      Naive and Reduced modes; the headline reduction factor is
      total-naive-states / total-reduced-states and must clear 5x.
@@ -14,7 +14,12 @@
    Exit is nonzero (via the returned failure count) when any spec
    misses its verdict or the reduction factor collapses. *)
 
-let spec_json (o : Mc.outcome) =
+let timed_run ?mode spec =
+  let t0 = Unix.gettimeofday () in
+  let o = Mc.run ?mode spec in
+  (o, Unix.gettimeofday () -. t0)
+
+let spec_json ((o : Mc.outcome), seconds) =
   Melastic.Json.(
     Obj
       [ ("spec", String o.Mc.spec_label); ("mode", String (Mc.mode_to_string o.Mc.mode));
@@ -23,7 +28,7 @@ let spec_json (o : Mc.outcome) =
         ("data_collapsed", Bool o.Mc.stats.Mc.data_collapsed);
         ("truncated", Bool o.Mc.stats.Mc.truncated);
         ("props", Obj (List.map (fun (p, c) -> (p, Int c)) o.Mc.props));
-        ("clean", Bool o.Mc.clean); ("ok", Bool o.Mc.ok) ])
+        ("clean", Bool o.Mc.clean); ("ok", Bool o.Mc.ok); ("seconds", Float seconds) ])
 
 let run ?(quick = false) () =
   let failures = ref 0 in
@@ -32,7 +37,7 @@ let run ?(quick = false) () =
   let verdicts =
     List.map
       (fun spec ->
-        let o = Mc.run spec in
+        let ((o, _) as run) = timed_run spec in
         let verdict =
           if o.Mc.ok then "ok"
           else begin
@@ -56,15 +61,20 @@ let run ?(quick = false) () =
             o.Mc.reports;
           List.iter (fun l -> Printf.printf "      %s\n" l) o.Mc.trace
         end;
-        o)
+        run)
       (Mc.suite ~quick ())
   in
+  let edges_per_s =
+    let sum f = List.fold_left (fun acc r -> acc +. f r) 0. verdicts in
+    sum (fun (o, _) -> float_of_int o.Mc.stats.Mc.edges) /. sum snd
+  in
+  Printf.printf "  %.0f edges/s over the suite\n%!" edges_per_s;
   Printf.printf "== model checker: partial-order reduction ==\n%!";
   let pairs =
     List.map
       (fun spec ->
-        let naive = Mc.run ~mode:Mc.Naive spec in
-        let reduced = Mc.run ~mode:Mc.Reduced spec in
+        let ((naive, _) as naive_run) = timed_run ~mode:Mc.Naive spec in
+        let ((reduced, _) as reduced_run) = timed_run ~mode:Mc.Reduced spec in
         Printf.printf "  %-28s naive %7d -> reduced %6d states (%.1fx)\n%!"
           naive.Mc.spec_label naive.Mc.stats.Mc.states
           reduced.Mc.stats.Mc.states
@@ -75,12 +85,12 @@ let run ?(quick = false) () =
           Printf.printf "    FAIL: naive and reduced verdicts disagree\n%!";
           incr failures
         end;
-        (naive, reduced))
+        (naive_run, reduced_run))
       (Mc.naive_comparable ~quick ())
   in
   let tot f = List.fold_left (fun acc (n, r) -> acc + f n r) 0 pairs in
-  let naive_states = tot (fun n _ -> n.Mc.stats.Mc.states) in
-  let reduced_states = tot (fun _ r -> r.Mc.stats.Mc.states) in
+  let naive_states = tot (fun (n, _) _ -> n.Mc.stats.Mc.states) in
+  let reduced_states = tot (fun _ (r, _) -> r.Mc.stats.Mc.states) in
   let factor =
     float_of_int naive_states /. float_of_int (max 1 reduced_states)
   in
@@ -93,7 +103,7 @@ let run ?(quick = false) () =
   let elapsed = Unix.gettimeofday () -. t0 in
   Bench_json.write ~experiment:"mc" ~quick "BENCH_mc.json"
     Melastic.Json.
-      [ ("elapsed_s", Float elapsed);
+      [ ("elapsed_s", Float elapsed); ("edges_per_s", Float edges_per_s);
         ("verdicts", List (List.map spec_json verdicts));
         ( "reduction",
           Obj

@@ -80,13 +80,19 @@ type packed = T : (module Sim_intf.S with type t = 'a) * 'a -> packed
 
 type t = {
   p : packed;
+  regs : Signal.t array;
+  (* registers of the running circuit, in [Circuit.registers] order:
+     the layout [snapshot]/[restore] convert through *)
   map_signal : Signal.t -> Signal.t;
   (* original-circuit signal -> simulated-circuit signal *)
   map_memory : Signal.memory -> Signal.memory;
 }
 
+let registers_of c = Array.of_list (Circuit.registers c)
+
 let pack (type a) (module M : Sim_intf.S with type t = a) (s : a) =
   { p = T ((module M), s);
+    regs = registers_of (M.circuit s);
     map_signal = (fun s -> s);
     map_memory = (fun m -> m) }
 
@@ -149,7 +155,8 @@ let create ?backend ?optimize circuit =
       Transform.optimize_with_map ~name:circuit.Circuit.name circuit
     in
     let map_signal, map_memory = optimized_maps c' remap in
-    { p = T ((module M), M.create c'); map_signal; map_memory }
+    { p = T ((module M), M.create c'); regs = registers_of c'; map_signal;
+      map_memory }
   end
 
 let backend_name { p = T ((module M), _); _ } = M.name
@@ -205,11 +212,50 @@ let peek_bool { p = T ((module M), s); _ } name =
 let peek_signal ({ p = T ((module M), s); _ } as t) signal =
   M.peek_signal s (t.map_signal signal)
 
-let snapshot { p = T ((module M), s); _ } = M.snapshot s
-let restore { p = T ((module M), s); _ } snap = M.restore s snap
-(* Snapshots are taken from / restored into the RUNNING circuit (the
-   optimized one under [~optimize:true]); they are opaque to callers
-   and only portable between simulators of that same circuit. *)
+let state_words { p = T ((module M), s); _ } = M.state_words s
+let save_state { p = T ((module M), s); _ } buf off = M.save_state s buf off
+let load_state { p = T ((module M), s); _ } buf off = M.load_state s buf off
+
+(* [snapshot]/[restore] are the [Bits.t] view of one saved state, for
+   callers that keep a handful of states; they convert through the
+   backend's [save_state]/[load_state] word layout. *)
+let snapshot { p = T ((module M), s); regs; _ } =
+  let buf = Array.make (M.state_words s) 0 in
+  M.save_state s buf 0;
+  let o = ref 0 in
+  Array.map
+    (fun (r : Signal.t) ->
+      let w = r.Signal.width in
+      let v =
+        if w <= Bits.max_int_width then Bits.of_int ~width:w buf.(!o)
+        else Sim_intf.load_limbs ~width:w buf !o
+      in
+      o := !o + Sim_intf.reg_words w;
+      v)
+    regs
+
+let restore { p = T ((module M), s); regs; _ } snap =
+  if Array.length snap <> Array.length regs then
+    invalid_arg
+      (Printf.sprintf "Sim.restore: %d registers, snapshot has %d entries"
+         (Array.length regs) (Array.length snap));
+  let buf = Array.make (M.state_words s) 0 in
+  let o = ref 0 in
+  Array.iteri
+    (fun i (r : Signal.t) ->
+      let w = r.Signal.width in
+      if Bits.width snap.(i) <> w then
+        invalid_arg
+          (Printf.sprintf "Sim.restore: register %d width mismatch (%d vs %d)"
+             i (Bits.width snap.(i)) w);
+      if w <= Bits.max_int_width then buf.(!o) <- Bits.to_int snap.(i)
+      else Sim_intf.save_limbs snap.(i) buf !o;
+      o := !o + Sim_intf.reg_words w)
+    regs;
+  M.load_state s buf 0
+(* Saved states are taken from / loaded into the RUNNING circuit (the
+   optimized one under [~optimize:true]); they are only portable
+   between simulators of that same circuit. *)
 
 let reset { p = T ((module M), s); _ } = M.reset s
 

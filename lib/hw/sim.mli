@@ -98,7 +98,7 @@ val on_cycle : t -> (t -> unit) -> unit
 
 type port
 (** A resolved signal of one simulator.  Valid for the simulator's
-    lifetime, across {!reset} and {!restore}; under
+    lifetime, across {!reset} and {!load_state}; under
     [create ~optimize:true] it resolves names and aliases of the
     optimized circuit. *)
 
@@ -145,18 +145,43 @@ val peek_int : t -> string -> int
 val peek_bool : t -> string -> bool
 val peek_signal : t -> Signal.t -> Bits.t
 
+(** {1 Register state}
+
+    One mechanism: a backend saves and loads its registers as words in
+    a caller's [int array] (see {!Sim_intf.S.save_state} for the
+    layout).  {!snapshot}/{!restore} are a [Bits.t] view of the same
+    words for callers that keep only a few states. *)
+
+val state_words : t -> int
+(** Words one saved state takes: one per register of width <=
+    [Bits.max_int_width], one per [Bits.limb_width]-bit limb for a
+    wider one, registers in [Circuit.registers] order of the running
+    circuit. *)
+
+val save_state : t -> int array -> int -> unit
+(** [save_state t buf off] writes the register state to
+    [buf.(off) .. buf.(off + state_words t - 1)], allocating nothing
+    for narrow registers.  Raises [Invalid_argument] when the slice
+    does not fit. *)
+
+val load_state : t -> int array -> int -> unit
+(** Overwrite the register state with a slice {!save_state} wrote on a
+    simulator of the same circuit, backend and optimization setting.
+    Takes effect at the next {!settle}/{!cycle}; inputs, memories and
+    {!cycle_no} are untouched.  Raises [Invalid_argument] when the
+    slice does not fit. *)
+
 val snapshot : t -> Bits.t array
 (** Current register state of the running circuit, one entry per
-    register in [Circuit.registers] order.  Opaque (but structurally
-    comparable/hashable): use it as a state-space key or {!restore} it
-    into a simulator of the same circuit, backend and optimization
-    setting.  Memories are not captured. *)
+    register in [Circuit.registers] order.  Use it as a state key or
+    {!restore} it into a simulator of the same circuit, backend and
+    optimization setting.  Memories are not captured. *)
 
 val restore : t -> Bits.t array -> unit
-(** Overwrite register state with a {!snapshot}.  Like {!poke}, takes
-    effect at the next {!settle}/{!cycle}; inputs, memories and
-    {!cycle_no} are untouched.  Raises [Invalid_argument] on a
-    mismatched snapshot. *)
+(** Overwrite register state with a {!snapshot}, through
+    {!load_state}.  Raises [Invalid_argument] on a snapshot whose
+    length or entry widths do not match, before changing any
+    register. *)
 
 val reset : t -> unit
 (** Restore registers and memories to their initial contents, and all

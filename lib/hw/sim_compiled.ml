@@ -110,7 +110,8 @@ type t = {
   reg_steps : reg_step array; (* cleared registers: closure path *)
   mem_commits : (unit -> unit) array; (* write ports, phase b *)
   input_resets : (unit -> unit) array;
-  snap_regs : Signal.t array; (* Circuit.registers order, for snapshot/restore *)
+  state_regs : Signal.t array; (* Circuit.registers order, for save/load_state *)
+  state_words : int;
   mutable dirty : bool; (* an input changed since the last settle *)
   mutable mstale : bool; (* a memory was written from the testbench *)
   mutable cycle_no : int;
@@ -564,11 +565,12 @@ let create circuit =
         | _ -> ());
     Array.of_list !rs
   in
-  let snap_regs = Array.of_list (Circuit.registers circuit) in
+  let state_regs = Array.of_list (Circuit.registers circuit) in
   let t =
     { circuit; ivals; bvals; mem_state; steps; steps_input; steps_state;
       step_nodes; input_dep; state_dep;
-      int_regs; wide_regs; reg_steps; mem_commits; input_resets; snap_regs;
+      int_regs; wide_regs; reg_steps; mem_commits; input_resets; state_regs;
+      state_words = Sim_intf.state_words_of state_regs;
       dirty = false; mstale = false; cycle_no = 0; observers = [||];
       commit_jit = None;
       run_jit = None;
@@ -654,7 +656,9 @@ let cycle t =
      since the last settle (the trailing settle below keeps everything
      else fresh). *)
   settle t;
-  Array.iter (fun f -> f t) t.observers;
+  for i = 0 to Array.length t.observers - 1 do
+    t.observers.(i) t
+  done;
   commit t;
   t.cycle_no <- t.cycle_no + 1;
   (* Trailing settle: the commit invalidated the state cone.  If an
@@ -757,33 +761,44 @@ let peek_signal t (s : Signal.t) =
   if is_int s then Bits.of_int ~width:s.Signal.width t.ivals.(s.Signal.uid)
   else t.bvals.(s.Signal.uid)
 
-(* Register-state save/restore, in canonical [Circuit.registers] order
+(* Register state as words, in canonical [Circuit.registers] order
    (NOT the fast/slow commit partition).  Register outputs hold the
-   latched state directly in their uid slot, so a snapshot is a plain
-   slot read and a restore a plain slot write; restoring invalidates
-   the state cone exactly like a testbench memory write. *)
-let snapshot t =
-  Array.map
-    (fun (s : Signal.t) ->
-      let u = s.Signal.uid in
-      if is_int s then Bits.of_int ~width:s.Signal.width t.ivals.(u)
-      else t.bvals.(u))
-    t.snap_regs
+   latched state directly in their uid slot, so a save is a plain slot
+   read and a load a plain slot write; loading invalidates the state
+   cone exactly like a testbench memory write. *)
+let state_words t = t.state_words
 
-let restore t snap =
-  if Array.length snap <> Array.length t.snap_regs then
-    invalid_arg
-      (Printf.sprintf "Sim.restore: %d registers, snapshot has %d entries"
-         (Array.length t.snap_regs) (Array.length snap));
-  Array.iteri
-    (fun i (s : Signal.t) ->
-      if Bits.width snap.(i) <> s.Signal.width then
-        invalid_arg
-          (Printf.sprintf "Sim.restore: register %d width mismatch (%d vs %d)"
-             i (Bits.width snap.(i)) s.Signal.width);
-      if is_int s then t.ivals.(s.Signal.uid) <- Bits.to_int_exn snap.(i)
-      else t.bvals.(s.Signal.uid) <- snap.(i))
-    t.snap_regs;
+let save_state t buf off =
+  Sim_intf.check_state_slice ~op:"save_state" ~words:t.state_words buf off;
+  let o = ref off in
+  for i = 0 to Array.length t.state_regs - 1 do
+    let s = Array.unsafe_get t.state_regs i in
+    let u = s.Signal.uid in
+    if is_int s then begin
+      Array.unsafe_set buf !o (Array.unsafe_get t.ivals u);
+      incr o
+    end
+    else begin
+      Sim_intf.save_limbs t.bvals.(u) buf !o;
+      o := !o + Sim_intf.reg_words s.Signal.width
+    end
+  done
+
+let load_state t buf off =
+  Sim_intf.check_state_slice ~op:"load_state" ~words:t.state_words buf off;
+  let o = ref off in
+  for i = 0 to Array.length t.state_regs - 1 do
+    let s = Array.unsafe_get t.state_regs i in
+    let u = s.Signal.uid and w = s.Signal.width in
+    if is_int s then begin
+      Array.unsafe_set t.ivals u (Array.unsafe_get buf !o land mask w);
+      incr o
+    end
+    else begin
+      t.bvals.(u) <- Sim_intf.load_limbs ~width:w buf !o;
+      o := !o + Sim_intf.reg_words w
+    end
+  done;
   t.mstale <- true
 
 let reset t =
@@ -830,7 +845,7 @@ let mem_write t (m : Signal.memory) addr value =
 (* ---- hooks for the native-JIT backend (Sim_jit) ----
 
    Sim_jit reuses this backend's entire instance machinery — storage
-   layout, register/memory commit, ports, snapshot/restore,
+   layout, register/memory commit, ports, save/load_state,
    activity flags — and only replaces the three settle schedules with
    compiled kernels.  Everything it needs is exposed here rather than
    duplicated there. *)

@@ -12,7 +12,7 @@ include Sim_intf.S
 
 (** Internal hooks for {!Sim_jit}, which reuses this backend's
     instance machinery (storage layout, commit, peek/poke,
-    snapshot/restore, activity flags) and swaps only the settle
+    save/load_state, activity flags) and swaps only the settle
     schedules for compiled kernels.  Not a stable API for other
     callers. *)
 module Jit_support : sig

@@ -27,7 +27,8 @@ type t = {
   reg_state : Bits.t array; (* indexed by uid, only Reg uids meaningful *)
   input_values : Bits.t array;
   mem_state : (int, Bits.t array) Hashtbl.t; (* mem_uid -> contents *)
-  regs : Signal.t array;
+  regs : Signal.t array; (* Circuit.registers order *)
+  state_words : int;
   mutable dirty : bool; (* poked or written since the last settle *)
   mutable cycle_no : int;
   mutable observers : (t -> unit) array; (* registration order *)
@@ -59,6 +60,7 @@ let create_unsettled circuit =
       | Signal.Input _ -> input_values.(s.Signal.uid) <- Bits.zero s.Signal.width
       | _ -> ());
   { circuit; values; reg_state; input_values; mem_state; regs;
+    state_words = Sim_intf.state_words_of regs;
     dirty = false; cycle_no = 0; observers = [||] }
 
 let eval_node t (s : Signal.t) =
@@ -196,26 +198,38 @@ let write_int t p n = write t p (Bits.of_int ~width:p.pwidth n)
 
 let peek_signal t (s : Signal.t) = t.values.(s.Signal.uid)
 
-(* Register-state save/restore, in [Circuit.registers] order ([t.regs]
-   is exactly that).  Restore marks the simulator dirty rather than
-   settling eagerly, so a restore/poke/cycle sequence — the model
-   checker's hot loop — pays a single settle. *)
-let snapshot t =
-  Array.map (fun (s : Signal.t) -> t.reg_state.(s.Signal.uid)) t.regs
+(* Register state as words, in [Circuit.registers] order ([t.regs] is
+   exactly that).  A load marks the simulator dirty rather than
+   settling eagerly, so a load/write/cycle sequence — the model
+   checker's hot loop — pays a single settle; it re-boxes only the
+   registers whose value changed. *)
+let state_words t = t.state_words
 
-let restore t snap =
-  if Array.length snap <> Array.length t.regs then
-    invalid_arg
-      (Printf.sprintf "Sim.restore: %d registers, snapshot has %d entries"
-         (Array.length t.regs) (Array.length snap));
-  Array.iteri
-    (fun i (s : Signal.t) ->
-      if Bits.width snap.(i) <> s.Signal.width then
-        invalid_arg
-          (Printf.sprintf "Sim.restore: register %d width mismatch (%d vs %d)"
-             i (Bits.width snap.(i)) s.Signal.width);
-      t.reg_state.(s.Signal.uid) <- snap.(i))
-    t.regs;
+let save_state t buf off =
+  Sim_intf.check_state_slice ~op:"save_state" ~words:t.state_words buf off;
+  let o = ref off in
+  for i = 0 to Array.length t.regs - 1 do
+    let s = t.regs.(i) in
+    let v = t.reg_state.(s.Signal.uid) in
+    if s.Signal.width <= Bits.max_int_width then buf.(!o) <- Bits.to_int v
+    else Sim_intf.save_limbs v buf !o;
+    o := !o + Sim_intf.reg_words s.Signal.width
+  done
+
+let load_state t buf off =
+  Sim_intf.check_state_slice ~op:"load_state" ~words:t.state_words buf off;
+  let o = ref off in
+  for i = 0 to Array.length t.regs - 1 do
+    let s = t.regs.(i) in
+    let u = s.Signal.uid and w = s.Signal.width in
+    if w <= Bits.max_int_width then begin
+      let v = buf.(!o) in
+      if Bits.to_int t.reg_state.(u) <> v then
+        t.reg_state.(u) <- Bits.of_int_trunc ~width:w v
+    end
+    else t.reg_state.(u) <- Sim_intf.load_limbs ~width:w buf !o;
+    o := !o + Sim_intf.reg_words w
+  done;
   t.dirty <- true
 
 let reset t =

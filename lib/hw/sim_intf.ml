@@ -93,6 +93,37 @@ let width_mismatch name ~got ~want =
   invalid_arg
     (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name got want)
 
+(* Saved register state.  A register of width <= [Bits.max_int_width]
+   is one word holding its value; a wider one is one word per
+   [Bits.limb_width]-bit limb, least significant first.  Registers
+   follow [Circuit.registers] order, so every backend running the same
+   circuit agrees on the layout. *)
+let reg_words w =
+  if w <= Bits.max_int_width then 1
+  else (w + Bits.limb_width - 1) / Bits.limb_width
+
+let state_words_of (regs : Signal.t array) =
+  Array.fold_left (fun acc (s : Signal.t) -> acc + reg_words s.Signal.width) 0 regs
+
+let check_state_slice ~op ~words buf off =
+  if off < 0 || off + words > Array.length buf then
+    invalid_arg
+      (Printf.sprintf "Sim.%s: %d state words do not fit at offset %d of %d"
+         op words off (Array.length buf))
+
+let save_limbs v buf off =
+  for i = 0 to reg_words (Bits.width v) - 1 do
+    buf.(off + i) <- Bits.get_limb v i
+  done
+
+let load_limbs ~width buf off =
+  let v = Bits.zero width in
+  for i = 0 to reg_words width - 1 do
+    let pos = i * Bits.limb_width in
+    Bits.or_int_into v ~pos ~width:(min Bits.limb_width (width - pos)) buf.(off + i)
+  done;
+  v
+
 let () =
   Printexc.register_printer (function
     | Unknown_signal { backend; op; name; candidates } ->
@@ -133,7 +164,7 @@ module type S = sig
       no name building and no hashing, and — for signals of width
       <= [Bits.max_int_width] — {!read_int}/{!write_int} allocate
       nothing.  A port stays valid for the lifetime of the simulator,
-      across {!reset} and {!restore}. *)
+      across {!reset} and {!load_state}. *)
 
   val input_port : ?op:string -> t -> string -> port
   (** Resolve a primary input.  Raises {!Unknown_signal} (with
@@ -164,19 +195,25 @@ module type S = sig
 
   val peek_signal : t -> Signal.t -> Bits.t
 
-  val snapshot : t -> Bits.t array
-  (** Current register state, one entry per register of the simulated
-      circuit in [Circuit.registers] order.  Treat the array as opaque
-      (but structurally comparable/hashable): its only valid uses are
-      state-space keys and {!restore} into a simulator running the
-      same circuit.  Memories are not captured. *)
+  val state_words : t -> int
+  (** Length of the register state {!save_state} writes: one word per
+      register of width <= [Bits.max_int_width], one per
+      [Bits.limb_width]-bit limb for a wider one, registers in
+      [Circuit.registers] order.  Memories are not part of it. *)
 
-  val restore : t -> Bits.t array -> unit
-  (** Overwrite register state with a {!snapshot} taken from a
-      simulator of the same circuit.  Like {!poke}, takes effect at
-      the next {!settle}/{!cycle}; primary inputs, memories and
-      {!cycle_no} are untouched.  Raises [Invalid_argument] on an
-      array whose length or entry widths do not match. *)
+  val save_state : t -> int array -> int -> unit
+  (** [save_state t buf off] writes the register state to
+      [buf.(off) .. buf.(off + state_words t - 1)].  Narrow registers
+      cost one store each and allocate nothing.  Raises
+      [Invalid_argument] when the slice does not fit in [buf]. *)
+
+  val load_state : t -> int array -> int -> unit
+  (** Overwrite the register state with a slice written by
+      {!save_state} on a simulator of the same circuit (each word is
+      truncated to its register's width).  Like a write, takes effect
+      at the next {!settle}/{!cycle}; primary inputs, memories and
+      {!cycle_no} are untouched.  Raises [Invalid_argument] when the
+      slice does not fit in [buf]. *)
 
   val reset : t -> unit
   (** Restore registers and memories to their initial contents and all

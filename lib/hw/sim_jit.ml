@@ -10,7 +10,7 @@
    ([ocamlfind ocamlopt -shared], or plain [ocamlopt]), loaded with
    [Dynlink], and swapped in as the instance's settle schedules.
    Everything else — storage layout, register and memory commit,
-   ports, snapshot/restore, activity gating, observers — is
+   ports, save/load_state, activity gating, observers — is
    [Sim_compiled]'s machinery, reused through
    [Sim_compiled.Jit_support], so the two backends cannot drift.
 
@@ -1300,8 +1300,9 @@ let peek_signal t (s : Signal.t) =
          r.Signal.uid)
   else Sim_compiled.peek_signal t.base s
 
-let snapshot t = Sim_compiled.snapshot t.base
-let restore t snap = Sim_compiled.restore t.base snap
+let state_words t = Sim_compiled.state_words t.base
+let save_state t buf off = Sim_compiled.save_state t.base buf off
+let load_state t buf off = Sim_compiled.load_state t.base buf off
 let reset t = Sim_compiled.reset t.base
 let mem_read t m addr = Sim_compiled.mem_read t.base m addr
 let mem_write t m addr v = Sim_compiled.mem_write t.base m addr v

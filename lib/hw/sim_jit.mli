@@ -5,7 +5,7 @@
     unboxed-int slot arrays, compiles it with the native toolchain
     ([ocamlfind ocamlopt -shared]), loads it with [Dynlink], and swaps
     it in as the instance's settle schedules — everything else
-    (commit, peek/poke, snapshot/restore, activity gating, observers)
+    (commit, peek/poke, save/load_state, activity gating, observers)
     is [Sim_compiled]'s machinery, so the backends stay bit-identical
     by construction.  Compiled kernels are cached in process (keyed by
     a canonical netlist hash) and on disk ([_jit_cache/] under the

@@ -2,13 +2,13 @@
 
    The checker explores the reachable register states of a small
    elastic system — the very netlist the simulators run, driven
-   through [Hw.Sim]'s snapshot/restore — under every protocol-legal
-   environment behaviour, and checks the paper's invariants on every
-   state and edge.  See mc.mli for the property classes and DESIGN.md
-   "Verification" for the soundness arguments; the load-bearing
-   engineering decisions are summarized here.
+   through [Hw.Sim]'s save_state/load_state — under every
+   protocol-legal environment behaviour, and checks the paper's
+   invariants on every state and edge.  See mc.mli for the property
+   classes and DESIGN.md "Verification" for the soundness arguments;
+   the load-bearing engineering decisions are summarized here.
 
-   State.  A node of the explored graph is (register snapshot,
+   State.  A node of the explored graph is (register words,
    environment state): pending producer offers, the per-flow token
    scoreboard (FIFO of injected data per thread, plus a debt list for
    operators that deliver downstream before consuming upstream, like
@@ -17,6 +17,21 @@
    *local* check on each edge: after the clock edge, the occupancy
    decoded from the state registers must equal (queued - owed) tokens
    for every flow group and thread.
+
+   Store.  Each state is one fixed-length record in a flat int vector:
+   every register word, the environment (offers, then each list
+   packed into one word — see [Plist]), depth / predecessor / pending
+   mask, and the label of the edge that reached it as ints (source
+   combo, sink ready vector).  The dedup key is the kept register
+   words plus the environment, looked up in an open-addressing table
+   of state ids tagged with their key's hash.  A successor is built in
+   place at the end of the store and kept only when its key is new, so
+   an edge into a known state — almost all of them — allocates next to
+   nothing.  The successors already met from the state being expanded
+   are cached, so most edges skip the table; only distinct (state,
+   successor) pairs are kept, for the deadlock closure.  Probes are
+   ports resolved once per run, and labels become text only for a
+   stored report or a counterexample trace.
 
    Environment.  Producers are persistent: an offer stays asserted
    until it transfers, which is what [Monitor.check_stability ~strict]
@@ -84,17 +99,18 @@ type src = {
   retracts : bool;  (* hazard: may withdraw an unfired offer *)
 }
 
-(* One source-to-sink token flow with its occupancy decoder.  [tokens]
-   maps (peek, thread) to the number of this flow's tokens currently
-   stored in the circuit's registers; it must peek every probe it may
-   ever read on every call (the taint check records the names by
-   calling it with a fake peek).  [lo] may be negative for operators
-   that run a delivery debt (eager fork).  Flows sharing [grp] share
-   one physical buffer and are balanced as a unit. *)
+(* One source-to-sink token flow with its occupancy decoder.
+   [tokens probe t] builds thread [t]'s decoder: it resolves every
+   signal the decoder reads through [probe] (once per run; the taint
+   check records the names with a fake [probe]) and returns a function
+   giving the number of this flow's tokens currently stored in the
+   circuit's registers.  [lo] may be negative for operators that run a
+   delivery debt (eager fork).  Flows sharing [grp] share one physical
+   buffer and are balanced as a unit. *)
 type flow = {
   from_ : string;
   into : sink_ref list;
-  tokens : (string -> int) -> int -> int;
+  tokens : (string -> unit -> int) -> int -> unit -> int;
   lo : int;
   hi : int;
   grp : string option;
@@ -176,12 +192,14 @@ let observed_names spec =
   List.iter
     (fun f ->
       for t = 0 to spec.threads - 1 do
-        ignore
-          (f.tokens
-             (fun nm ->
-               add nm;
-               0)
-             t)
+        let (_ : unit -> int) =
+          f.tokens
+            (fun nm ->
+              add nm;
+              fun () -> 0)
+            t
+        in
+        ()
       done)
     spec.flows;
   !acc
@@ -231,49 +249,69 @@ let data_quotient circuit spec regs =
 (* Exploration engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Vec = struct
-  type 'a t = { mutable a : 'a array; mutable n : int }
+(* A growable flat [int] vector: the state store and the edge list. *)
+module Ivec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-  let create () = { a = [||]; n = 0 }
+  let create () = { a = Array.make 1024 0; n = 0 }
 
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let a' = Array.make (max 16 (2 * Array.length v.a)) x in
+  (* Room for [k] more words past [n]; [a] may be replaced. *)
+  let reserve v k =
+    if v.n + k > Array.length v.a then begin
+      let a' = Array.make (max (v.n + k) (2 * Array.length v.a)) 0 in
       Array.blit v.a 0 a' 0 v.n;
       v.a <- a'
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
+    end
 
-  let get v i = v.a.(i)
-  let len v = v.n
+  let push v x =
+    reserve v 1;
+    Array.unsafe_set v.a v.n x;
+    v.n <- v.n + 1
 end
 
-(* One explored node.  [offers.(si)] is -1 or thread*2+data; [fifos]
-   is flow-major x thread (queue of in-flight data, debt of data
-   delivered downstream before the source fired); [order] is
-   ordered-group-major x thread lists of source indices in offer
-   order; [pend] is the per-thread "tokens in flight" mask. *)
-type nstate = {
-  snap : Bits.t array;
-  offers : int array;
-  fifos : (int list * int list) array;
-  order : int list array;
-  pend : int;
-  depth : int;
-  pred : int;
-  via : string;
-}
+(* Token and offer-order lists, packed into one int each: a 1 sentinel
+   followed by [bits] bits per element, first element highest.  The
+   sentinel makes the code injective (the empty list is 1), so a list
+   is one key word and an append or a pop is a few shifts. *)
+module Plist = struct
+  let empty = 1
 
-let rec cartesian = function
-  | [] -> [ [] ]
-  | c :: rest ->
-    let tails = cartesian rest in
-    List.concat_map (fun x -> List.map (fun tl -> x :: tl) tails) c
+  let length ~bits code =
+    let rec msb c acc = if c = 1 then acc else msb (c lsr 1) (acc + 1) in
+    msb code 0 / bits
 
-let rec remove_first x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_first x rest
+  let append ~bits code x =
+    if code lsr (Sys.int_size - 1 - bits) <> 0 then
+      failwith "Mc: a token or offer-order list outgrew its packed key word";
+    (code lsl bits) lor x
+
+  (* Element [i] counted from the front of a list of length [len]. *)
+  let nth ~bits ~len code i =
+    (code lsr ((len - 1 - i) * bits)) land ((1 lsl bits) - 1)
+
+  let head ~bits code = nth ~bits ~len:(length ~bits code) code 0
+
+  (* Drop element [i] of a list of length [len]. *)
+  let drop ~bits ~len code i =
+    let lo = (len - 1 - i) * bits in
+    ((code lsr (lo + bits)) lsl lo) lor (code land ((1 lsl lo) - 1))
+
+  let pop ~bits code = drop ~bits ~len:(length ~bits code) code 0
+
+  let remove_first ~bits code x =
+    let len = length ~bits code in
+    let rec find i =
+      if i = len then code
+      else if nth ~bits ~len code i = x then drop ~bits ~len code i
+      else find (i + 1)
+    in
+    find 0
+end
+
+let prop_one_hot = 0
+let prop_full = 1
+let prop_conservation = 2
+let prop_deadlock = 3
 
 let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
     spec =
@@ -330,10 +368,8 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
           Hashtbl.add grp_ids key g;
           g
       in
-      members
-      |> fun tbl ->
-      Hashtbl.replace tbl g
-        (fi :: (match Hashtbl.find_opt tbl g with Some l -> l | None -> [])))
+      Hashtbl.replace members g
+        (fi :: (match Hashtbl.find_opt members g with Some l -> l | None -> [])))
     flows;
   let ngrp = !ngrp in
   let groups = Array.init ngrp (fun g -> List.rev (Hashtbl.find members g)) in
@@ -355,17 +391,19 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                 end)
               flows.(fi).into)
           mem;
-        List.map
-          (fun nm ->
-            ( snk_idx nm,
-              nm,
-              List.concat_map
-                (fun fi ->
-                  List.filter_map
-                    (fun sr -> if sr.snk = nm then Some (fi, sr) else None)
-                    flows.(fi).into)
-                mem ))
-          (List.rev !names))
+        Array.of_list
+          (List.map
+             (fun nm ->
+               ( snk_idx nm,
+                 nm,
+                 Array.of_list
+                   (List.concat_map
+                      (fun fi ->
+                        List.filter_map
+                          (fun sr -> if sr.snk = nm then Some (fi, sr) else None)
+                          flows.(fi).into)
+                      mem) ))
+             (List.rev !names)))
       groups
   in
   (* Ordered groups (offer-order preservation across merged paths). *)
@@ -385,64 +423,155 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
       groups
   in
   let ex_groups = Array.of_list (List.map (List.map src_idx) spec.exclusive) in
-  let pi nm = Sim.peek_int sim nm in
-  let compute_bals () =
-    let a = Array.make (ngrp * t_n) 0 in
-    for g = 0 to ngrp - 1 do
-      let f = flows.(g_rep.(g)) in
-      for t = 0 to t_n - 1 do
-        a.((g * t_n) + t) <- f.tokens pi t
-      done
-    done;
-    a
+  (* Ports: every probe the exploration reads or drives, resolved once. *)
+  let read p () = Sim.read_int p in
+  let probe nm = read (Sim.signal_port sim nm) in
+  let src_valid = Array.map (fun s -> Sim.input_port sim (N.valid s.src_name)) srcs in
+  let src_data = Array.map (fun s -> Sim.input_port sim (N.data s.src_name)) srcs in
+  let src_fire = Array.map (fun s -> Sim.signal_port sim (N.fire s.src_name)) srcs in
+  let src_avail =
+    Array.map
+      (fun s -> if s.gated then probe (N.ready s.src_name) else fun () -> 0)
+      srcs
   in
-  let pending_of bals offers =
-    let m = ref 0 in
-    Array.iteri (fun i v -> if v <> 0 then m := !m lor (1 lsl (i mod t_n))) bals;
-    Array.iter (fun o -> if o >= 0 then m := !m lor (1 lsl (o / 2))) offers;
-    !m land all_mask
+  let snk_ready = Array.map (fun nm -> Sim.input_port sim (N.ready nm)) snks in
+  let snk_fire = Array.map (fun nm -> Sim.signal_port sim (N.fire nm)) snks in
+  let snk_data =
+    Array.map (fun nm -> if collapse then fun () -> 0 else probe (N.data nm)) snks
   in
-  let key_of snap offers fifos order =
-    let buf = Buffer.create 128 in
+  let one_hot =
+    Array.of_list
+      (List.map (fun nm -> (nm, Sim.signal_port sim (N.valid nm))) spec.one_hot)
+  in
+  let full_groups =
+    Array.of_list
+      (List.map
+         (fun (inst, n) ->
+           (inst, Array.init n (fun i -> Sim.signal_port sim (N.state inst i))))
+         spec.full_groups)
+  in
+  let decoders =
+    Array.init (ngrp * t_n) (fun i ->
+        flows.(g_rep.(i / t_n)).tokens probe (i mod t_n))
+  in
+  (* Bits per packed list element: token data (a source's data bit or
+     a sink's observed data) and source indices. *)
+  let bits_for n =
+    let rec go b = if 1 lsl b > n then b else go (b + 1) in
+    max 1 (go 0)
+  in
+  let bits =
+    Array.fold_left
+      (fun acc nm ->
+        if collapse then acc
+        else max acc (Sim.port_width (Sim.signal_port sim (N.data nm))))
+      (bits_for (nsrc - 1)) snks
+  in
+  (* State store: one record of [stride] words per state, all in one
+     flat vector.  [nw] register words (every register, so a state can
+     be reloaded), then the environment — offers, per flow x thread
+     FIFO and debt lists, per ordered group x thread offer-order lists
+     — then depth, predecessor and pending-thread mask, then the edge
+     label that reached it: the source combo and the sink ready
+     vector.  The key is the kept register words plus the
+     environment. *)
+  let nw = Sim.state_words sim in
+  let o_off = nw in
+  let q_off = o_off + nsrc in
+  let d_off = q_off + (nflow * t_n) in
+  let r_off = d_off + (nflow * t_n) in
+  let m_off = r_off + (nog * t_n) in
+  let v_off = m_off + 3 in
+  let stride = v_off + nsrc + nsnk in
+  let key_pos =
+    let pos = ref [] and o = ref 0 in
     Array.iteri
-      (fun i v ->
-        if keep.(i) then begin
-          Buffer.add_string buf (Bits.to_hex_string v);
-          Buffer.add_char buf ';'
-        end)
-      snap;
+      (fun i (r : S.t) ->
+        let words = Hw.Sim_intf.reg_words r.S.width in
+        if keep.(i) then for j = 0 to words - 1 do pos := (!o + j) :: !pos done;
+        o := !o + words)
+      regs;
+    Array.of_list (List.rev !pos @ List.init (m_off - o_off) (fun i -> o_off + i))
+  in
+  let nkey = Array.length key_pos in
+  let store = Ivec.create () in
+  let n_st = ref 0 in
+  let n_states () = !n_st in
+  let field id off = store.Ivec.a.((id * stride) + off) in
+  (* Open-addressing table by the key words of the record at [base],
+     linear probing.  An entry is a state id (31 bits) under the upper
+     bits of its key's hash: the upper bits pick the slot and reject
+     most mismatches without touching the store. *)
+  let table = ref (Array.make 4096 (-1)) in
+  let id_mask = 0x7FFF_FFFF in
+  let slot_of e = e lsr 31 in
+  let hash_at a base =
+    let h = ref 0 in
+    for i = 0 to nkey - 1 do
+      let x = Array.unsafe_get a (base + Array.unsafe_get key_pos i) in
+      let m = (!h lxor x) * 0x2545F4914F6CDD1D in
+      h := m lxor (m lsr 29)
+    done;
+    !h land max_int
+  in
+  let same_key a b1 b2 =
+    let i = ref 0 in
+    while
+      !i < nkey
+      &&
+      let p = Array.unsafe_get key_pos !i in
+      Array.unsafe_get a (b1 + p) = Array.unsafe_get a (b2 + p)
+    do
+      incr i
+    done;
+    !i = nkey
+  in
+  let rec free_slot tbl i =
+    if tbl.(i) < 0 then i else free_slot tbl ((i + 1) land (Array.length tbl - 1))
+  in
+  let grow () =
+    let tbl = Array.make (2 * Array.length !table) (-1) in
+    let mask = Array.length tbl - 1 in
     Array.iter
-      (fun o ->
-        Buffer.add_string buf (string_of_int o);
-        Buffer.add_char buf ',')
-      offers;
-    Array.iter
-      (fun (q, d) ->
-        Buffer.add_char buf '|';
-        List.iter (fun x -> Buffer.add_char buf (Char.chr (48 + x))) q;
-        Buffer.add_char buf '/';
-        List.iter (fun x -> Buffer.add_char buf (Char.chr (48 + x))) d)
-      fifos;
-    Array.iter
-      (fun l ->
-        Buffer.add_char buf '!';
-        List.iter (fun x -> Buffer.add_char buf (Char.chr (48 + x))) l)
-      order;
-    Buffer.contents buf
+      (fun e -> if e >= 0 then tbl.(free_slot tbl (slot_of e land mask)) <- e)
+      !table;
+    table := tbl
   in
   (* Bookkeeping for results. *)
-  let counts = Hashtbl.create 4 in
-  List.iter (fun p -> Hashtbl.replace counts p 0) prop_names;
+  let counts = Array.make (List.length prop_names) 0 in
   let reports = ref [] in
   let n_reports = ref 0 in
   let first_trace = ref [] in
-  let states : nstate Vec.t = Vec.create () in
+  (* The current edge's label (also the label stored with a new state). *)
+  let combo = Array.make nsrc (-1) in
+  let rvec = Array.make nsnk 0 in
+  let via_text get =
+    String.concat " "
+      (Array.to_list
+         (Array.mapi
+            (fun si s ->
+              match get si with
+              | c when c >= 0 ->
+                Printf.sprintf "%s=t%d/%d" s.src_name (c / 2) (c land 1)
+              | _ -> Printf.sprintf "%s=-" s.src_name)
+            srcs)
+      @ Array.to_list
+          (Array.mapi
+             (fun k snk ->
+               Printf.sprintf "%s.ready=%s" snk
+                 (Bits.to_binary_string (Bits.of_int ~width:t_n (get (nsrc + k)))))
+             snks))
+  in
+  let edge_via () =
+    via_text (fun i -> if i < nsrc then combo.(i) else rvec.(i - nsrc))
+  in
   let trace_to id extra =
     let rec walk id acc =
       if id < 0 then acc
       else
-        let st = Vec.get states id in
-        walk st.pred (if st.pred < 0 then acc else st.via :: acc)
+        let pred = field id (m_off + 1) in
+        walk pred
+          (if pred < 0 then acc else via_text (fun i -> field id (v_off + i)) :: acc)
     in
     let n = ref 0 in
     "reset"
@@ -452,515 +581,577 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
            Printf.sprintf "cycle %d: %s" !n v)
          (walk id [] @ extra)
   in
-  let report ~prop ~channel ?thread ~expected ~actual ~depth ~at ?(extra = [])
-      () =
-    Hashtbl.replace counts prop (Hashtbl.find counts prop + 1);
-    if !n_reports < max_reports then begin
-      incr n_reports;
-      reports :=
-        { Monitor.checker = "mc-" ^ prop; cycle = depth; channel; thread;
-          expected; actual }
-        :: !reports;
-      if !first_trace = [] then first_trace := trace_to at extra
-    end
+  (* [violated p] counts one violation of [p] and says whether its
+     report is still to be stored, so the details are rendered only for
+     the first [max_reports].  [~edge] adds the current edge's label to
+     the counterexample trace. *)
+  let violated prop =
+    counts.(prop) <- counts.(prop) + 1;
+    !n_reports < max_reports
   in
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-  let queue = Queue.create () in
-  let edges : (int * int) Vec.t = Vec.create () in
+  let report ~prop ~channel ?thread ~expected ~actual ~depth ~at ?(edge = false)
+      () =
+    incr n_reports;
+    reports :=
+      { Monitor.checker = "mc-" ^ List.nth prop_names prop; cycle = depth;
+        channel; thread; expected; actual }
+      :: !reports;
+    if !first_trace = [] then
+      first_trace := trace_to at (if edge then [ edge_via () ] else [])
+  in
   let truncated = ref false in
   let max_depth = ref 0 in
-  let add_state ~pred ~via snap offers fifos order bals =
-    let key = key_of snap offers fifos order in
-    match Hashtbl.find_opt tbl key with
-    | Some id -> id
-    | None ->
-      let depth = if pred < 0 then 0 else (Vec.get states pred).depth + 1 in
+  (* Explored edges, and the distinct (state, successor) pairs among
+     them as [(id lsl 31) lor id'] for the deadlock closure. *)
+  let n_edges = ref 0 in
+  let edges = Ivec.create () in
+  (* Register the record just written at the store's end, whose key
+     hashes to [h]: its key is looked up, and the record is kept (with
+     depth, predecessor, pending mask and the current edge label) only
+     when new. *)
+  let add_state ~pred ~pend h =
+    let a = store.Ivec.a in
+    let id_new = n_states () in
+    let base = id_new * stride in
+    let tag = h land lnot id_mask in
+    let tbl = !table in
+    let mask = Array.length tbl - 1 in
+    (* Probe to the key's entry or the first empty slot. *)
+    let i = ref (slot_of h land mask) in
+    while
+      let e = tbl.(!i) in
+      e >= 0
+      && not (e land lnot id_mask = tag && same_key a ((e land id_mask) * stride) base)
+    do
+      i := (!i + 1) land mask
+    done;
+    let i = !i in
+    let e = tbl.(i) in
+    if e >= 0 then e land id_mask
+    else begin
+      let depth = if pred < 0 then 0 else field pred m_off + 1 in
       if depth > !max_depth then max_depth := depth;
-      let id = Vec.len states in
-      Vec.push states
-        { snap; offers; fifos; order; pend = pending_of bals offers; depth;
-          pred; via };
-      Hashtbl.add tbl key id;
-      Queue.add id queue;
-      id
+      a.(base + m_off) <- depth;
+      a.(base + m_off + 1) <- pred;
+      a.(base + m_off + 2) <- pend;
+      Array.blit combo 0 a (base + v_off) nsrc;
+      Array.blit rvec 0 a (base + v_off + nsrc) nsnk;
+      store.Ivec.n <- base + stride;
+      incr n_st;
+      tbl.(i) <- tag lor id_new;
+      if 2 * n_states () > Array.length tbl then grow ();
+      id_new
+    end
+  in
+  (* Successors already met from the state being expanded, direct-mapped
+     by hash and stamped with that state's id.  A state's edges mostly
+     lead to a few successors; a hit here is confirmed against a record
+     that was just read, and its edge is a duplicate pair, so only the
+     first edge to each successor probes the table and is kept. *)
+  let near_bits = 6 in
+  let near_stamp = Array.make (1 lsl near_bits) (-1) in
+  let near_hash = Array.make (1 lsl near_bits) 0 in
+  let near_id = Array.make (1 lsl near_bits) 0 in
+  let add_edge ~from ~pend =
+    incr n_edges;
+    let base = n_states () * stride in
+    let h = hash_at store.Ivec.a base in
+    let k = h land ((1 lsl near_bits) - 1) in
+    if not (near_stamp.(k) = from && near_hash.(k) = h
+            && same_key store.Ivec.a (near_id.(k) * stride) base)
+    then begin
+      let id' = add_state ~pred:from ~pend h in
+      near_stamp.(k) <- from;
+      near_hash.(k) <- h;
+      near_id.(k) <- id';
+      Ivec.push edges ((from lsl 31) lor id')
+    end
   in
   let slice_val sr v =
     match sr.slice with
     | None -> v
     | Some (hi, lo) -> (v lsr lo) land ((1 lsl (hi - lo + 1)) - 1)
   in
+  (* Pending-thread mask: threads with tokens decoded in the registers
+     ([held], one bit per thread) or an offer outstanding in the record
+     at [base]. *)
+  let pending_of ~held base =
+    let m = ref held in
+    for si = 0 to nsrc - 1 do
+      let o = store.Ivec.a.(base + o_off + si) in
+      if o >= 0 then m := !m lor (1 lsl (o / 2))
+    done;
+    !m land all_mask
+  in
   (* Root: the reset state with all inputs low. *)
   Sim.settle sim;
-  let root_bals = compute_bals () in
-  ignore
-    (add_state ~pred:(-1) ~via:"" (Sim.snapshot sim) (Array.make nsrc (-1))
-       (Array.make (nflow * t_n) ([], []))
-       (Array.make (nog * t_n) [])
-       root_bals);
-  Array.iteri
-    (fun i v ->
-      if v <> 0 then
-        report ~prop:"conservation"
-          ~channel:flows.(g_rep.(i / t_n)).from_
-          ~thread:(i mod t_n) ~expected:"empty system at reset"
-          ~actual:(Printf.sprintf "occupancy decodes to %d" v)
-          ~depth:0 ~at:0 ())
+  Ivec.reserve store stride;
+  Sim.save_state sim store.Ivec.a 0;
+  Array.fill store.Ivec.a o_off nsrc (-1);
+  Array.fill store.Ivec.a q_off (m_off - q_off) Plist.empty;
+  let root_bals = Array.map (fun f -> f ()) decoders in
+  let root_held = ref 0 in
+  Array.iteri (fun i v -> if v <> 0 then root_held := !root_held lor (1 lsl (i mod t_n)))
     root_bals;
+  ignore
+    (add_state ~pred:(-1) ~pend:(pending_of ~held:!root_held 0) (hash_at store.Ivec.a 0));
+  for i = 0 to (ngrp * t_n) - 1 do
+    let v = root_bals.(i) in
+    if v <> 0 && violated prop_conservation then
+      report ~prop:prop_conservation
+        ~channel:flows.(g_rep.(i / t_n)).from_
+        ~thread:(i mod t_n) ~expected:"empty system at reset"
+        ~actual:(Printf.sprintf "occupancy decodes to %d" v)
+        ~depth:0 ~at:0 ()
+  done;
+  (* The state being expanded: a copy of its record, so the store may
+     grow underneath. *)
+  let cur = Array.make stride 0 in
+  let fires_src = Array.make nsrc 0 in
+  let fires_snk = Array.make nsnk 0 in
+  let rel_bits = Array.make t_n 0 in
+  let group_flows = Array.map Array.of_list groups in
+  (* Offer [offers.(off + si)] at every source, sink ready all-ones or
+     [rvec], then settle. *)
+  let drive offers off ~all_ready =
+    for si = 0 to nsrc - 1 do
+      let o = offers.(off + si) in
+      Sim.write_int src_valid.(si) (if o >= 0 then 1 lsl (o / 2) else 0);
+      Sim.write_int src_data.(si) (if o >= 0 then o land 1 else 0)
+    done;
+    for k = 0 to nsnk - 1 do
+      Sim.write_int snk_ready.(k) (if all_ready then all_mask else rvec.(k))
+    done;
+    Sim.settle sim
+  in
+  let head = ref 0 in
   (try
-     while not (Queue.is_empty queue) do
-       if Vec.len states > max_states then begin
+     while !head < n_states () do
+       if n_states () > max_states then begin
          truncated := true;
          raise Exit
        end;
-       let id = Queue.pop queue in
-       let st = Vec.get states id in
+       let id = !head in
+       incr head;
+       Array.blit store.Ivec.a (id * stride) cur 0 stride;
+       let depth = cur.(m_off) and pend = cur.(m_off + 2) in
+       let offer si = cur.(o_off + si) in
        (* Base settle: pending offers asserted, every sink ready.
           Registered-state checks and gated availability read here. *)
-       Sim.restore sim st.snap;
-       Array.iteri
-         (fun si s ->
-           let o = st.offers.(si) in
-           Sim.poke_int sim (N.valid s.src_name)
-             (if o >= 0 then 1 lsl (o / 2) else 0);
-           Sim.poke_int sim (N.data s.src_name) (if o >= 0 then o land 1 else 0))
-         srcs;
-       Array.iter (fun snk -> Sim.poke_int sim (N.ready snk) all_mask) snks;
-       Sim.settle sim;
-       List.iter
-         (fun (inst, n) ->
+       Sim.load_state sim cur 0;
+       drive cur o_off ~all_ready:true;
+       Array.iter
+         (fun (inst, ports) ->
            let fulls = ref 0 in
            let bad = ref (-1) in
-           for i = 0 to n - 1 do
-             let v = pi (N.state inst i) in
-             if v = 2 then incr fulls;
-             if v > 2 then bad := i
-           done;
-           if !bad >= 0 then
-             report ~prop:"at-most-one-full" ~channel:inst ~thread:!bad
+           Array.iteri
+             (fun i p ->
+               let v = Sim.read_int p in
+               if v = 2 then incr fulls;
+               if v > 2 then bad := i)
+             ports;
+           if !bad >= 0 && violated prop_full then
+             report ~prop:prop_full ~channel:inst ~thread:!bad
                ~expected:"state in {EMPTY, HALF, FULL}"
                ~actual:(Printf.sprintf "state%d = 3" !bad)
-               ~depth:st.depth ~at:id ();
-           if !fulls > 1 then
-             report ~prop:"at-most-one-full" ~channel:inst
+               ~depth ~at:id ();
+           if !fulls > 1 && violated prop_full then
+             report ~prop:prop_full ~channel:inst
                ~expected:"at most one FULL thread (one shared aux slot)"
                ~actual:(Printf.sprintf "%d threads FULL" !fulls)
-               ~depth:st.depth ~at:id ())
-         spec.full_groups;
-       let avail =
-         Array.map
-           (fun s -> if s.gated then pi (N.ready s.src_name) else 0)
-           srcs
-       in
+               ~depth ~at:id ())
+         full_groups;
+       let avail = Array.map (fun f -> f ()) src_avail in
        (* Threads each source currently holds (for exclusivity). *)
        let held = Array.make nsrc 0 in
-       Array.iteri
-         (fun si o -> if o >= 0 then held.(si) <- held.(si) lor (1 lsl (o / 2)))
-         st.offers;
-       Array.iteri
-         (fun fi _ ->
-           let si = flow_src.(fi) in
-           for t = 0 to t_n - 1 do
-             let q, d = st.fifos.((fi * t_n) + t) in
-             if q <> [] || d <> [] then held.(si) <- held.(si) lor (1 lsl t)
-           done)
-         flows;
+       for si = 0 to nsrc - 1 do
+         let o = offer si in
+         if o >= 0 then held.(si) <- held.(si) lor (1 lsl (o / 2))
+       done;
+       for fi = 0 to nflow - 1 do
+         let si = flow_src.(fi) in
+         for t = 0 to t_n - 1 do
+           let i = (fi * t_n) + t in
+           if cur.(q_off + i) <> Plist.empty || cur.(d_off + i) <> Plist.empty then
+             held.(si) <- held.(si) lor (1 lsl t)
+         done
+       done;
+       (* Per source, the offers this state may present, in the order
+          the combos are enumerated. *)
        let choices =
-         Array.to_list
-           (Array.mapi
-              (fun si s ->
-                let o = st.offers.(si) in
-                (* An unfired offer at a GATED endpoint is invisible to
-                   the circuit, so the environment closure may also
-                   reconsider it (else Naive models a strictly more
-                   committed environment than Reduced prunes: a
-                   producer wedged on a full thread starves a barrier
-                   or aligned join of the sibling threads it needs —
-                   a real composition hazard, but of persistent
-                   ungated producers, which is what the hazard specs
-                   with [retracts] document). *)
-                if o >= 0 then
-                  if s.retracts || (mode = Naive && s.gated) then [ o; -1 ]
-                  else [ o ]
-                else begin
-                  let opts = ref [ -1 ] in
-                  for t = t_n - 1 downto 0 do
-                    let injectable =
-                      if mode = Reduced && s.gated then
-                        avail.(si) land (1 lsl t) <> 0
-                      else true
-                    in
-                    if injectable then
-                      List.iter
-                        (fun d -> opts := ((t * 2) lor d) :: !opts)
-                        datas
-                  done;
-                  !opts
-                end)
-              srcs)
+         Array.mapi
+           (fun si s ->
+             let o = offer si in
+             (* An unfired offer at a GATED endpoint is invisible to
+                the circuit, so the environment closure may also
+                reconsider it (else Naive models a strictly more
+                committed environment than Reduced prunes: a producer
+                wedged on a full thread starves a barrier or aligned
+                join of the sibling threads it needs — a real
+                composition hazard, but of persistent ungated
+                producers, which is what the hazard specs with
+                [retracts] document). *)
+             if o >= 0 then
+               if s.retracts || (mode = Naive && s.gated) then [| o; -1 |]
+               else [| o |]
+             else begin
+               let opts = ref [ -1 ] in
+               for t = t_n - 1 downto 0 do
+                 let injectable =
+                   if mode = Reduced && s.gated then avail.(si) land (1 lsl t) <> 0
+                   else true
+                 in
+                 if injectable then
+                   List.iter (fun d -> opts := ((t * 2) lor d) :: !opts) datas
+               done;
+               Array.of_list !opts
+             end)
+           srcs
        in
-       let combo_ok combo =
+       let combo_ok () =
          Array.for_all
            (fun mem ->
              let acc = ref 0 in
              let ok = ref true in
              List.iter
                (fun si ->
-                 let m =
-                   held.(si)
-                   lor
-                   match combo.(si) with
-                   | c when c >= 0 -> 1 lsl (c / 2)
-                   | _ -> 0
-                 in
+                 let c = combo.(si) in
+                 let m = held.(si) lor if c >= 0 then 1 lsl (c / 2) else 0 in
                  if !acc land m <> 0 then ok := false;
                  acc := !acc lor m)
                mem;
              !ok)
            ex_groups
        in
-       List.iter
-         (fun combo_l ->
-           let combo = Array.of_list combo_l in
-           if combo_ok combo then begin
-             let inject = ref 0 in
-             Array.iter
-               (fun c -> if c >= 0 then inject := !inject lor (1 lsl (c / 2)))
-               combo;
-             let rel =
-               if mode = Naive then all_mask
-               else (st.pend lor !inject) land all_mask
-             in
-             let rel_bits = ref [] in
-             for t = t_n - 1 downto 0 do
-               if rel land (1 lsl t) <> 0 then rel_bits := t :: !rel_bits
+       let ncombo = Array.fold_left (fun acc c -> acc * Array.length c) 1 choices in
+       for ci = 0 to ncombo - 1 do
+         (* Mixed radix, first source most significant: the cartesian
+            product in source order. *)
+         let r = ref ci in
+         for si = nsrc - 1 downto 0 do
+           let c = choices.(si) in
+           combo.(si) <- c.(!r mod Array.length c);
+           r := !r / Array.length c
+         done;
+         if combo_ok () then begin
+           let inject = ref 0 in
+           for si = 0 to nsrc - 1 do
+             let c = combo.(si) in
+             if c >= 0 then inject := !inject lor (1 lsl (c / 2))
+           done;
+           let rel =
+             if mode = Naive then all_mask else (pend lor !inject) land all_mask
+           in
+           let nrel = ref 0 in
+           for t = 0 to t_n - 1 do
+             if rel land (1 lsl t) <> 0 then begin
+               rel_bits.(!nrel) <- t;
+               incr nrel
+             end
+           done;
+           let nrel = !nrel in
+           let pinned = all_mask land lnot rel in
+           for rc = 0 to (1 lsl (nrel * nsnk)) - 1 do
+             for k = 0 to nsnk - 1 do
+               rvec.(k) <- pinned;
+               for j = 0 to nrel - 1 do
+                 if (rc lsr ((k * nrel) + j)) land 1 <> 0 then
+                   rvec.(k) <- rvec.(k) lor (1 lsl rel_bits.(j))
+               done
              done;
-             let rel_bits = Array.of_list !rel_bits in
-             let nrel = Array.length rel_bits in
-             let pinned = all_mask land lnot rel in
-             for rc = 0 to (1 lsl (nrel * nsnk)) - 1 do
-               let rvec = Array.make nsnk pinned in
-               for k = 0 to nsnk - 1 do
-                 for j = 0 to nrel - 1 do
-                   if (rc lsr ((k * nrel) + j)) land 1 <> 0 then
-                     rvec.(k) <- rvec.(k) lor (1 lsl rel_bits.(j))
-                 done
-               done;
-               Sim.restore sim st.snap;
-               Array.iteri
-                 (fun si s ->
-                   let c = combo.(si) in
-                   Sim.poke_int sim (N.valid s.src_name)
-                     (if c >= 0 then 1 lsl (c / 2) else 0);
-                   Sim.poke_int sim (N.data s.src_name)
-                     (if c >= 0 then c land 1 else 0))
-                 srcs;
-               Array.iteri
-                 (fun k snk -> Sim.poke_int sim (N.ready snk) rvec.(k))
-                 snks;
-               Sim.settle sim;
-               let fires_src =
-                 Array.map (fun s -> pi (N.fire s.src_name)) srcs
-               in
+             Sim.load_state sim cur 0;
+             drive combo 0 ~all_ready:false;
+             let skip = ref false in
+             for si = 0 to nsrc - 1 do
+               let f = Sim.read_int src_fire.(si) in
+               fires_src.(si) <- f;
                (* Canonical-order skip: a gated injection that does not
                   fire under this ready combo is the same edge as the
                   combo without it. *)
-               let skip = ref false in
-               Array.iteri
-                 (fun si s ->
-                   if
-                     mode = Reduced && s.gated && combo.(si) >= 0
-                     && fires_src.(si) land (1 lsl (combo.(si) / 2)) = 0
-                   then skip := true)
-                 srcs;
-               if not !skip then begin
-                 let via =
-                   String.concat " "
-                     (Array.to_list
-                        (Array.mapi
-                           (fun si s ->
-                             match combo.(si) with
-                             | c when c >= 0 ->
-                               Printf.sprintf "%s=t%d/%d" s.src_name (c / 2)
-                                 (c land 1)
-                             | _ -> Printf.sprintf "%s=-" s.src_name)
-                           srcs)
-                     @ Array.to_list
-                         (Array.mapi
-                            (fun k snk ->
-                              Printf.sprintf "%s.ready=%s" snk
-                                (Bits.to_binary_string
-                                   (Bits.of_int ~width:t_n rvec.(k))))
-                            snks))
+               let c = combo.(si) in
+               if mode = Reduced && srcs.(si).gated && c >= 0
+                  && f land (1 lsl (c / 2)) = 0
+               then skip := true
+             done;
+             if not !skip then begin
+               let depth' = depth + 1 in
+               for h = 0 to Array.length one_hot - 1 do
+                 let nm, p = one_hot.(h) in
+                 let hot =
+                   if Sim.port_width p <= Bits.max_int_width then
+                     Bits.popcount_int (Sim.read_int p)
+                   else Bits.popcount (Sim.read p)
                  in
-                 let depth' = st.depth + 1 in
-                 List.iter
-                   (fun nm ->
-                     let v = Sim.peek sim (N.valid nm) in
-                     if Bits.popcount v > 1 then
-                       report ~prop:"one-hot" ~channel:nm
-                         ~expected:"at most one valid thread per cycle (P1)"
-                         ~actual:
-                           (Printf.sprintf "valids = %s"
-                              (Bits.to_binary_string v))
-                         ~depth:depth' ~at:id ~extra:[ via ] ())
-                   spec.one_hot;
-                 let fires_snk = Array.map (fun snk -> pi (N.fire snk)) snks in
-                 let nf = Array.copy st.fifos in
-                 let nord = Array.copy st.order in
-                 (* Offer order: a new offer joins its thread's line; a
-                    retracted one leaves it. *)
-                 Array.iteri
-                   (fun si _ ->
-                     if src_og.(si) >= 0 then
-                       if combo.(si) >= 0 && st.offers.(si) < 0 then begin
-                         let oi = (src_og.(si) * t_n) + (combo.(si) / 2) in
-                         nord.(oi) <- nord.(oi) @ [ si ]
-                       end
-                       else if combo.(si) < 0 && st.offers.(si) >= 0 then begin
-                         let oi =
-                           (src_og.(si) * t_n) + (st.offers.(si) / 2)
-                         in
-                         nord.(oi) <- remove_first si nord.(oi)
-                       end)
-                   srcs;
-                 (* Pushes: every source fire injects into all its flows. *)
-                 Array.iteri
-                   (fun fi f ->
-                     let si = flow_src.(fi) in
-                     let fm = fires_src.(si) in
+                 if hot > 1 && violated prop_one_hot then
+                   report ~prop:prop_one_hot ~channel:nm
+                     ~expected:"at most one valid thread per cycle (P1)"
+                     ~actual:
+                       (Printf.sprintf "valids = %s"
+                          (Bits.to_binary_string (Sim.read p)))
+                     ~depth:depth' ~at:id ~edge:true ()
+               done;
+               for k = 0 to nsnk - 1 do
+                 fires_snk.(k) <- Sim.read_int snk_fire.(k)
+               done;
+               (* The successor's record is built in place at the end of
+                  the store, from the current environment. *)
+               Ivec.reserve store stride;
+               let a = store.Ivec.a in
+               let nb = n_states () * stride in
+               Array.blit cur o_off a (nb + o_off) (m_off - o_off);
+               (* Offer order: a new offer joins its thread's line; a
+                  retracted one leaves it. *)
+               for si = 0 to nsrc - 1 do
+                 let og = src_og.(si) in
+                 if og >= 0 then begin
+                   let c = combo.(si) and o = offer si in
+                   if c >= 0 && o < 0 then begin
+                     let oi = nb + r_off + (og * t_n) + (c / 2) in
+                     a.(oi) <- Plist.append ~bits a.(oi) si
+                   end
+                   else if c < 0 && o >= 0 then begin
+                     let oi = nb + r_off + (og * t_n) + (o / 2) in
+                     a.(oi) <- Plist.remove_first ~bits a.(oi) si
+                   end
+                 end
+               done;
+               (* Pushes: every source fire injects into all its flows. *)
+               for fi = 0 to nflow - 1 do
+                 let si = flow_src.(fi) in
+                 let fm = fires_src.(si) in
+                 for t = 0 to t_n - 1 do
+                   if fm land (1 lsl t) <> 0 then begin
+                     let d = if combo.(si) >= 0 then combo.(si) land 1 else 0 in
+                     let qi = nb + q_off + (fi * t_n) + t
+                     and di = nb + d_off + (fi * t_n) + t in
+                     if a.(di) <> Plist.empty then begin
+                       (* The sink consumed before the source fired
+                          (delivery debt, eager fork): settle it. *)
+                       let d0 = Plist.head ~bits a.(di) in
+                       if (not collapse) && d0 <> d && violated prop_conservation
+                       then
+                         report ~prop:prop_conservation ~channel:flows.(fi).from_
+                           ~thread:t
+                           ~expected:(Printf.sprintf "source completes data %d" d)
+                           ~actual:
+                             (Printf.sprintf
+                                "a sink already observed %d for this token" d0)
+                           ~depth:depth' ~at:id ~edge:true ();
+                       a.(di) <- Plist.pop ~bits a.(di)
+                     end
+                     else a.(qi) <- Plist.append ~bits a.(qi) d
+                   end
+                 done
+               done;
+               (* Pops: attribute each sink fire to a queued token of
+                  its conservation group. *)
+               for g = 0 to ngrp - 1 do
+                 for gs = 0 to Array.length g_sinks.(g) - 1 do
+                     let ki, snk_nm, frefs = g_sinks.(g).(gs) in
+                     let fm = fires_snk.(ki) in
                      for t = 0 to t_n - 1 do
                        if fm land (1 lsl t) <> 0 then begin
-                         let d =
-                           if combo.(si) >= 0 then combo.(si) land 1 else 0
+                         let obs_full = snk_data.(ki) () in
+                         let oi = nb + r_off + (g_og.(g) * t_n) + t in
+                         let expect_src =
+                           if g_og.(g) >= 0 && a.(oi) <> Plist.empty then
+                             Plist.head ~bits a.(oi)
+                           else -1
                          in
-                         let q, dq = nf.((fi * t_n) + t) in
-                         match dq with
-                         | d0 :: rest ->
-                           (* The sink consumed before the source fired
-                              (delivery debt, eager fork): settle it. *)
-                           if (not collapse) && d0 <> d then
-                             report ~prop:"conservation" ~channel:f.from_
-                               ~thread:t
+                         (* Candidates are the flows with a queued token:
+                            the one from the expected source first, then
+                            the only one, then one whose head matches the
+                            observed data, then the first. *)
+                         let pick = ref (-1) and first = ref (-1) and ncand = ref 0 in
+                         for j = 0 to Array.length frefs - 1 do
+                           let fi, _ = frefs.(j) in
+                           if a.(nb + q_off + (fi * t_n) + t) <> Plist.empty then begin
+                             incr ncand;
+                             if !first < 0 then first := j;
+                             if !pick < 0 && flow_src.(fi) = expect_src then pick := j
+                           end
+                         done;
+                         if !pick < 0 && !ncand > 1 then
+                           for j = 0 to Array.length frefs - 1 do
+                             let fi, sr = frefs.(j) in
+                             let q = a.(nb + q_off + (fi * t_n) + t) in
+                             if !pick < 0 && q <> Plist.empty
+                                && Plist.head ~bits q = slice_val sr obs_full
+                             then pick := j
+                           done;
+                         if !pick < 0 then pick := !first;
+                         if !pick >= 0 then begin
+                           let fi, sr = frefs.(!pick) in
+                           if expect_src >= 0 && flow_src.(fi) <> expect_src
+                              && violated prop_conservation
+                           then
+                             report ~prop:prop_conservation ~channel:snk_nm ~thread:t
                                ~expected:
-                                 (Printf.sprintf "source completes data %d" d)
-                               ~actual:
                                  (Printf.sprintf
-                                    "a sink already observed %d for this token"
-                                    d0)
-                               ~depth:depth' ~at:id ~extra:[ via ] ();
-                           nf.((fi * t_n) + t) <- (q, rest)
-                         | [] -> nf.((fi * t_n) + t) <- (q @ [ d ], [])
-                       end
-                     done)
-                   flows;
-                 (* Pops: attribute each sink fire to a queued token of
-                    its conservation group. *)
-                 for g = 0 to ngrp - 1 do
-                   List.iter
-                     (fun (ki, snk_nm, frefs) ->
-                       let fm = fires_snk.(ki) in
-                       for t = 0 to t_n - 1 do
-                         if fm land (1 lsl t) <> 0 then begin
-                           let obs_full =
-                             if collapse then 0 else pi (N.data snk_nm)
-                           in
-                           let cands =
-                             List.filter
-                               (fun (fi, _) -> fst nf.((fi * t_n) + t) <> [])
-                               frefs
-                           in
-                           let expect_src =
-                             if g_og.(g) >= 0 then
-                               match nord.((g_og.(g) * t_n) + t) with
-                               | si :: _ -> si
-                               | [] -> -1
-                             else -1
-                           in
-                           let pick =
-                             match
-                               ( List.find_opt
-                                   (fun (fi, _) -> flow_src.(fi) = expect_src)
-                                   cands,
-                                 cands )
-                             with
-                             | Some c, _ -> Some c
-                             | None, [] -> None
-                             | None, [ c ] -> Some c
-                             | None, l -> (
-                               match
-                                 List.find_opt
-                                   (fun (fi, sr) ->
-                                     match fst nf.((fi * t_n) + t) with
-                                     | d0 :: _ -> d0 = slice_val sr obs_full
-                                     | [] -> false)
-                                   l
-                               with
-                               | Some c -> Some c
-                               | None -> Some (List.hd l))
-                           in
-                           match pick with
-                           | Some (fi, sr) ->
-                             (if expect_src >= 0 && flow_src.(fi) <> expect_src
-                              then
-                                report ~prop:"conservation" ~channel:snk_nm
-                                  ~thread:t
-                                  ~expected:
-                                    (Printf.sprintf
-                                       "thread-%d tokens leave in offer order \
-                                        (next: %s)"
-                                       t
-                                       srcs.(expect_src).src_name)
-                                  ~actual:
-                                    (Printf.sprintf
-                                       "a later token from %s overtook it"
-                                       srcs.(flow_src.(fi)).src_name)
-                                  ~depth:depth' ~at:id ~extra:[ via ] ());
-                             if g_og.(g) >= 0 then begin
-                               let oi = (g_og.(g) * t_n) + t in
-                               nord.(oi) <- remove_first flow_src.(fi) nord.(oi)
-                             end;
-                             let q, dq = nf.((fi * t_n) + t) in
-                             (match q with
-                             | d0 :: qrest ->
-                               nf.((fi * t_n) + t) <- (qrest, dq);
-                               let obs = slice_val sr obs_full in
-                               if (not collapse) && obs <> d0 then
-                                 report ~prop:"conservation" ~channel:snk_nm
-                                   ~thread:t
-                                   ~expected:
-                                     (Printf.sprintf
-                                        "data %d (per-thread FIFO order from \
-                                         %s)"
-                                        d0
-                                        flows.(fi).from_)
-                                   ~actual:(Printf.sprintf "observed %d" obs)
-                                   ~depth:depth' ~at:id ~extra:[ via ] ();
-                               (match sr.accept with
-                               | Some a when (not collapse) && a <> d0 ->
-                                 report ~prop:"conservation" ~channel:snk_nm
-                                   ~thread:t
-                                   ~expected:
-                                     (Printf.sprintf
-                                        "only tokens with data %d routed here"
-                                        a)
-                                   ~actual:
-                                     (Printf.sprintf "token carries %d" d0)
-                                   ~depth:depth' ~at:id ~extra:[ via ] ()
-                               | _ -> ())
-                             | [] -> assert false)
-                           | None -> (
-                             (* No queued token: legal only for flows
-                                that run a delivery debt. *)
-                             match
-                               List.find_opt
-                                 (fun (fi, _) -> flows.(fi).lo < 0)
-                                 frefs
-                             with
-                             | Some (fi, sr) ->
-                               let q, dq = nf.((fi * t_n) + t) in
-                               nf.((fi * t_n) + t) <-
-                                 (q, dq @ [ slice_val sr obs_full ])
-                             | None ->
-                               report ~prop:"conservation" ~channel:snk_nm
-                                 ~thread:t
-                                 ~expected:"a sink fire consumes a queued token"
-                                 ~actual:"fire with no token in flight"
-                                 ~depth:depth' ~at:id ~extra:[ via ] ())
+                                    "thread-%d tokens leave in offer order (next: %s)"
+                                    t srcs.(expect_src).src_name)
+                               ~actual:
+                                 (Printf.sprintf "a later token from %s overtook it"
+                                    srcs.(flow_src.(fi)).src_name)
+                               ~depth:depth' ~at:id ~edge:true ();
+                           if g_og.(g) >= 0 then
+                             a.(oi) <- Plist.remove_first ~bits a.(oi) flow_src.(fi);
+                           let qi = nb + q_off + (fi * t_n) + t in
+                           let d0 = Plist.head ~bits a.(qi) in
+                           a.(qi) <- Plist.pop ~bits a.(qi);
+                           let obs = slice_val sr obs_full in
+                           if (not collapse) && obs <> d0 && violated prop_conservation
+                           then
+                             report ~prop:prop_conservation ~channel:snk_nm ~thread:t
+                               ~expected:
+                                 (Printf.sprintf
+                                    "data %d (per-thread FIFO order from %s)" d0
+                                    flows.(fi).from_)
+                               ~actual:(Printf.sprintf "observed %d" obs)
+                               ~depth:depth' ~at:id ~edge:true ();
+                           match sr.accept with
+                           | Some acc
+                             when (not collapse) && acc <> d0
+                                  && violated prop_conservation ->
+                             report ~prop:prop_conservation ~channel:snk_nm ~thread:t
+                               ~expected:
+                                 (Printf.sprintf "only tokens with data %d routed here"
+                                    acc)
+                               ~actual:(Printf.sprintf "token carries %d" d0)
+                               ~depth:depth' ~at:id ~edge:true ()
+                           | _ -> ()
                          end
-                       done)
-                     g_sinks.(g)
-                 done;
-                 Sim.cycle sim;
-                 let bals = compute_bals () in
-                 for g = 0 to ngrp - 1 do
-                   let rep = flows.(g_rep.(g)) in
-                   for t = 0 to t_n - 1 do
-                     let want =
-                       List.fold_left
-                         (fun acc fi ->
-                           let q, dq = nf.((fi * t_n) + t) in
-                           acc + List.length q - List.length dq)
-                         0 groups.(g)
-                     in
-                     let got = bals.((g * t_n) + t) in
-                     if got <> want then
-                       report ~prop:"conservation" ~channel:rep.from_ ~thread:t
-                         ~expected:
-                           (Printf.sprintf "occupancy %d (every fire accounted)"
-                              want)
-                         ~actual:(Printf.sprintf "state decodes to %d" got)
-                         ~depth:depth' ~at:id ~extra:[ via ] ();
-                     if want < rep.lo || want > rep.hi then
-                       report ~prop:"conservation" ~channel:rep.from_ ~thread:t
-                         ~expected:
-                           (Printf.sprintf "occupancy within [%d, %d]" rep.lo
-                              rep.hi)
-                         ~actual:(string_of_int want) ~depth:depth' ~at:id
-                         ~extra:[ via ] ()
-                   done
-                 done;
-                 let noffers =
-                   Array.mapi
-                     (fun si _ ->
-                       let c = combo.(si) in
-                       if c >= 0 && fires_src.(si) land (1 lsl (c / 2)) <> 0
-                       then -1
-                       else c)
-                     srcs
-                 in
-                 let id' =
-                   add_state ~pred:id ~via (Sim.snapshot sim) noffers nf nord
-                     bals
-                 in
-                 Vec.push edges (id, id')
-               end
-             done
-           end)
-         (cartesian choices)
+                         else begin
+                           (* No queued token: legal only for flows that
+                              run a delivery debt. *)
+                           let debt = ref (-1) in
+                           for j = Array.length frefs - 1 downto 0 do
+                             let fi, _ = frefs.(j) in
+                             if flows.(fi).lo < 0 then debt := j
+                           done;
+                           if !debt >= 0 then begin
+                             let fi, sr = frefs.(!debt) in
+                             let di = nb + d_off + (fi * t_n) + t in
+                             a.(di) <- Plist.append ~bits a.(di) (slice_val sr obs_full)
+                           end
+                           else if violated prop_conservation then
+                             report ~prop:prop_conservation ~channel:snk_nm ~thread:t
+                               ~expected:"a sink fire consumes a queued token"
+                               ~actual:"fire with no token in flight" ~depth:depth'
+                               ~at:id ~edge:true ()
+                         end
+                       end
+                     done
+                 done
+               done;
+               Sim.cycle sim;
+               let held = ref 0 in
+               for g = 0 to ngrp - 1 do
+                 let rep = flows.(g_rep.(g)) in
+                 for t = 0 to t_n - 1 do
+                   let want = ref 0 in
+                   for j = 0 to Array.length group_flows.(g) - 1 do
+                     let i = (group_flows.(g).(j) * t_n) + t in
+                     want :=
+                       !want
+                       + Plist.length ~bits a.(nb + q_off + i)
+                       - Plist.length ~bits a.(nb + d_off + i)
+                   done;
+                   let want = !want in
+                   let got = decoders.((g * t_n) + t) () in
+                   if got <> 0 then held := !held lor (1 lsl t);
+                   if got <> want && violated prop_conservation then
+                     report ~prop:prop_conservation ~channel:rep.from_ ~thread:t
+                       ~expected:
+                         (Printf.sprintf "occupancy %d (every fire accounted)" want)
+                       ~actual:(Printf.sprintf "state decodes to %d" got)
+                       ~depth:depth' ~at:id ~edge:true ();
+                   if (want < rep.lo || want > rep.hi) && violated prop_conservation
+                   then
+                     report ~prop:prop_conservation ~channel:rep.from_ ~thread:t
+                       ~expected:
+                         (Printf.sprintf "occupancy within [%d, %d]" rep.lo rep.hi)
+                       ~actual:(string_of_int want) ~depth:depth' ~at:id ~edge:true
+                       ()
+                 done
+               done;
+               for si = 0 to nsrc - 1 do
+                 let c = combo.(si) in
+                 a.(nb + o_off + si) <-
+                   (if c >= 0 && fires_src.(si) land (1 lsl (c / 2)) <> 0 then -1
+                    else c)
+               done;
+               Sim.save_state sim a nb;
+               add_edge ~from:id ~pend:(pending_of ~held:!held nb)
+             end
+           done
+         end
+       done
      done
    with Exit -> ());
+  let n = n_states () in
+  let n_pairs = edges.Ivec.n in
   (* Deadlock-freedom: a thread with tokens in flight must always keep
      SOME drain reachable (the environment is controllable, so this is
      exists-liveness: backward closure of the drained states). *)
   if not !truncated then begin
-    let n = Vec.len states in
-    let radj = Array.make n [] in
-    for i = 0 to Vec.len edges - 1 do
-      let f, t = Vec.get edges i in
-      if f <> t then radj.(t) <- f :: radj.(t)
+    (* Reverse adjacency in compressed rows: the predecessors of [s]
+       are [preds.(start.(s)) .. preds.(start.(s + 1) - 1)]. *)
+    let start = Array.make (n + 1) 0 in
+    let edge e = (edges.Ivec.a.(e) lsr 31, edges.Ivec.a.(e) land 0x7FFF_FFFF) in
+    for e = 0 to n_pairs - 1 do
+      let f, t = edge e in
+      if f <> t then start.(t + 1) <- start.(t + 1) + 1
     done;
+    for s = 1 to n do
+      start.(s) <- start.(s) + start.(s - 1)
+    done;
+    let preds = Array.make start.(n) 0 in
+    let fill = Array.sub start 0 n in
+    for e = 0 to n_pairs - 1 do
+      let f, t = edge e in
+      if f <> t then begin
+        preds.(fill.(t)) <- f;
+        fill.(t) <- fill.(t) + 1
+      end
+    done;
+    let stack = Array.make n 0 in
     for t = 0 to t_n - 1 do
       let bit = 1 lsl t in
-      let good = Array.init n (fun i -> (Vec.get states i).pend land bit = 0) in
-      let stack = Stack.create () in
-      Array.iteri (fun i g -> if g then Stack.push i stack) good;
-      while not (Stack.is_empty stack) do
-        let s' = Stack.pop stack in
-        List.iter
-          (fun s ->
-            if not good.(s) then begin
-              good.(s) <- true;
-              Stack.push s stack
-            end)
-          radj.(s')
+      let good = Array.init n (fun i -> field i (m_off + 2) land bit = 0) in
+      let sp = ref 0 in
+      Array.iteri
+        (fun i g ->
+          if g then begin
+            stack.(!sp) <- i;
+            incr sp
+          end)
+        good;
+      while !sp > 0 do
+        decr sp;
+        let s' = stack.(!sp) in
+        for j = start.(s') to start.(s' + 1) - 1 do
+          let s = preds.(j) in
+          if not good.(s) then begin
+            good.(s) <- true;
+            stack.(!sp) <- s;
+            incr sp
+          end
+        done
       done;
       let bad = ref (-1) in
       Array.iteri
         (fun i g ->
-          if
-            (not g)
-            && (!bad < 0 || (Vec.get states i).depth < (Vec.get states !bad).depth)
-          then bad := i)
+          if (not g) && (!bad < 0 || field i m_off < field !bad m_off) then bad := i)
         good;
-      if !bad >= 0 then
-        report ~prop:"deadlock" ~channel:"system" ~thread:t
+      if !bad >= 0 && violated prop_deadlock then
+        report ~prop:prop_deadlock ~channel:"system" ~thread:t
           ~expected:"some input sequence still drains the thread"
           ~actual:"thread holds tokens and no continuation ever drains them"
-          ~depth:(Vec.get states !bad).depth
-          ~at:!bad ()
+          ~depth:(field !bad m_off) ~at:!bad ()
     done
   end;
-  let props = List.map (fun p -> (p, Hashtbl.find counts p)) prop_names in
+  let props = List.mapi (fun i p -> (p, counts.(i))) prop_names in
   let clean = List.for_all (fun (_, c) -> c = 0) props in
   let ok =
     match spec.expect with
@@ -971,8 +1162,8 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
     mode;
     backend = Sim.backend_to_string backend;
     stats =
-      { states = Vec.len states;
-        edges = Vec.len edges;
+      { states = n;
+        edges = !n_edges;
         max_depth = !max_depth;
         data_collapsed = collapse;
         truncated = !truncated };
@@ -995,10 +1186,14 @@ let sref ?slice ?accept snk = { snk; slice; accept }
    so conservation flags the same state. *)
 let decode_occ = function 0 -> 0 | 1 -> 1 | 2 -> 2 | _ -> 1
 
-let meb_tokens ~kind ~inst pi t =
-  match kind with
-  | Meb.Reduced -> decode_occ (pi (N.state inst t))
-  | Meb.Full -> decode_occ (pi (N.state (N.sub inst t) 0))
+let meb_tokens ~kind ~inst probe t =
+  let state =
+    probe
+      (match kind with
+       | Meb.Reduced -> N.state inst t
+       | Meb.Full -> N.state (N.sub inst t) 0)
+  in
+  fun () -> decode_occ (state ())
 
 let meb_groups ~kind ~inst ~threads =
   match kind with
@@ -1051,9 +1246,10 @@ let meb_chain ~kind ~policy ~threads =
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
           tokens =
-            (fun pi t ->
-              meb_tokens ~kind ~inst:"m0" pi t
-              + meb_tokens ~kind ~inst:"m1" pi t);
+            (fun probe t ->
+              let m0 = meb_tokens ~kind ~inst:"m0" probe t
+              and m1 = meb_tokens ~kind ~inst:"m1" probe t in
+              fun () -> m0 () + m1 ());
           lo = 0; hi = 4; grp = None } ];
     one_hot = [ "mid"; "snk" ];
     full_groups =
@@ -1108,7 +1304,10 @@ let fork_gen ~retracts ~threads =
       List.init 2 (fun k ->
           { from_ = "src";
             into = [ sref (Printf.sprintf "snk%d" k) ];
-            tokens = (fun pi t -> -pi (N.indexed (N.sub "mfork" t) "done" k));
+            tokens =
+              (fun probe t ->
+                let dn = probe (N.indexed (N.sub "mfork" t) "done" k) in
+                fun () -> -dn ());
             lo = -1; hi = 0; grp = None });
     one_hot = [ "snk0"; "snk1" ];
     no_collapse = retracts;
@@ -1290,9 +1489,10 @@ let router ~threads =
          group); the group decoder sums both input buffers.  Per-flow
          pop attribution stays unambiguous because exclusivity keeps a
          thread's in-flight tokens in one input buffer at a time. *)
-      (let both pi t =
-         meb_tokens ~kind:Meb.Reduced ~inst:"ma" pi t
-         + meb_tokens ~kind:Meb.Reduced ~inst:"mc" pi t
+      (let both probe t =
+         let ma = meb_tokens ~kind:Meb.Reduced ~inst:"ma" probe t
+         and mc = meb_tokens ~kind:Meb.Reduced ~inst:"mc" probe t in
+         fun () -> ma () + mc ()
        in
        [ { from_ = "srca";
            into = [ sref ~accept:0 "snk0"; sref ~accept:1 "snk1" ];
@@ -1318,10 +1518,10 @@ let varlat ~threads =
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
           tokens =
-            (fun pi t ->
-              let occ = pi "vl_occupied" in
-              let owner = if threads = 1 then 0 else pi "vl_owner" in
-              if occ = 1 && owner = t then 1 else 0);
+            (fun probe t ->
+              let occ = probe "vl_occupied" in
+              let owner = if threads = 1 then fun () -> 0 else probe "vl_owner" in
+              fun () -> if occ () = 1 && owner () = t then 1 else 0);
           lo = 0; hi = 1; grp = None } ];
     one_hot = [ "snk" ] }
 
@@ -1340,7 +1540,7 @@ let varlat_per_thread ~threads =
     snks = [ "snk" ];
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
-          tokens = (fun pi t -> pi (N.indexed "vlp" "occ" t));
+          tokens = (fun probe t -> probe (N.indexed "vlp" "occ" t));
           lo = 0; hi = 1; grp = None } ];
     one_hot = [ "snk" ] }
 
@@ -1363,11 +1563,15 @@ let aligned ~policy ~threads =
     flows =
       [ { from_ = "srca"; into = [ sref ~slice:(1, 1) "snk" ];
           tokens =
-            (fun pi t -> decode_occ (pi (Printf.sprintf "al_a%d_state0" t)));
+            (fun probe t ->
+              let state = probe (Printf.sprintf "al_a%d_state0" t) in
+              fun () -> decode_occ (state ()));
           lo = 0; hi = 2; grp = None };
         { from_ = "srcb"; into = [ sref ~slice:(0, 0) "snk" ];
           tokens =
-            (fun pi t -> decode_occ (pi (Printf.sprintf "al_b%d_state0" t)));
+            (fun probe t ->
+              let state = probe (Printf.sprintf "al_b%d_state0" t) in
+              fun () -> decode_occ (state ()));
           lo = 0; hi = 2; grp = None } ];
     one_hot = [ "snk" ];
     full_groups =

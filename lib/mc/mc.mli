@@ -23,9 +23,10 @@
       continuation drains it).
 
     The checker drives the ordinary simulation backends through
-    {!Hw.Sim} (register snapshot/restore plus the named probes the
-    monitors already use), so it verifies the very netlists that
-    simulate, synthesize and serve — not a hand-written model.
+    {!Hw.Sim} (register state words through [save_state]/[load_state]
+    plus the named probes the monitors already use, resolved once as
+    ports), so it verifies the very netlists that simulate, synthesize
+    and serve — not a hand-written model.
 
     Environment model: producers are persistent — an offered token is
     re-offered until it transfers (baseline elastic stability); that
