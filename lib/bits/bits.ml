@@ -450,5 +450,12 @@ let limb_width = limb_bits
    limb array; the value is exact because limbs are kept normalized. *)
 let get_limb t i = Array.unsafe_get t.limbs i
 
+(* The constructor counterpart of [get_limb]: adopt a limb array the
+   caller built and will not touch again.  Generated kernels emit wide
+   concatenations and selects as one array literal of limb
+   expressions, so the vector costs a single allocation and no fill.
+   No check: the array must have [limbs_for width] normalized limbs. *)
+let unsafe_of_limbs ~width limbs = { width; limbs }
+
 let to_string t = Printf.sprintf "%d'h%s" t.width (to_hex_string t)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

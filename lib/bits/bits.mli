@@ -178,6 +178,15 @@ val get_limb : t -> int -> int
     kernels lowering limb-aligned lane extracts to a single load;
     everything else should use {!select_int}. *)
 
+val unsafe_of_limbs : width:int -> int array -> t
+(** [unsafe_of_limbs ~width limbs] adopts [limbs] as the storage of a
+    [width]-bit vector, without copying or checking: the counterpart of
+    {!get_limb} for simulator kernels that compute each limb of a wide
+    result as an int expression.  The array must hold exactly
+    [ceil (width / limb_width)] limbs, each in [0, 2^limb_width), the top
+    one masked to the bits [width] leaves in it, and the caller must
+    not mutate it afterwards. *)
+
 (** {1 Misc} *)
 
 val random : Random.State.t -> width:int -> t

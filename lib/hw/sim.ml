@@ -192,6 +192,8 @@ let read (P ((module M), s, p)) = M.read s p
 let read_int (P ((module M), s, p)) = M.read_int s p
 let write (P ((module M), s, p)) v = M.write s p v
 let write_int (P ((module M), s, p)) n = M.write_int s p n
+let read_words (P ((module M), s, p)) buf off = M.read_words s p buf off
+let write_words (P ((module M), s, p)) buf off = M.write_words s p buf off
 
 (* The by-name API: resolve, then one port operation. *)
 let poke { p = T ((module M), s); _ } name v = M.write s (M.input_port ~op:"poke" s name) v

@@ -129,6 +129,30 @@ val write : port -> Bits.t -> unit
 val write_int : port -> int -> unit
 (** {!write} of a non-negative int, truncated to the port width. *)
 
+(** {2 Word access}
+
+    A port of any width read or written as words of a caller's
+    [int array], in the layout {!save_state} gives a register of that
+    width: one word for a width <= [Bits.max_int_width], otherwise one
+    word per [Bits.limb_width]-bit limb, least significant first.  The
+    per-cycle path for drivers of wide ports (MD5's 640-bit message
+    and 128-bit digest): no [Bits.t] is built on the host side. *)
+
+val read_words : port -> int array -> int -> unit
+(** [read_words p buf off] stores the current value into the
+    [Sim_intf.reg_words (port_width p)] words from [buf.(off)],
+    allocating nothing.  Raises [Invalid_argument] when the slice does
+    not fit. *)
+
+val write_words : port -> int array -> int -> unit
+(** [write_words p buf off] sets the primary input from a slice in the
+    same layout, each word truncated to its bits.  It compares word by
+    word first: an unchanged value allocates nothing and leaves the
+    next settle free; a changed one is stored as a fresh vector (the
+    old one may be held by registers or memories) and dirties the
+    circuit.  Raises [Invalid_argument] like {!write} on a port that
+    is not a primary input, and when the slice does not fit. *)
+
 (** {1 By name}
 
     Each call resolves the name, then does one port operation. *)

@@ -756,6 +756,28 @@ let write t p bits =
     t.dirty <- true
   end
 
+let read_words t p buf off =
+  Sim_intf.check_port_slice ~op:"read_words" ~name:p.pname ~width:p.pwidth buf
+    off;
+  if p.narrow then buf.(off) <- t.ivals.(p.slot)
+  else Sim_intf.save_limbs t.bvals.(p.slot) buf off
+
+let write_words t p buf off =
+  if not p.input then Sim_intf.not_an_input p.pname;
+  Sim_intf.check_port_slice ~op:"write_words" ~name:p.pname ~width:p.pwidth buf
+    off;
+  if p.narrow then begin
+    let v = buf.(off) land mask p.pwidth in
+    if t.ivals.(p.slot) <> v then begin
+      t.ivals.(p.slot) <- v;
+      t.dirty <- true
+    end
+  end
+  else if Sim_intf.limbs_differ t.bvals.(p.slot) buf off then begin
+    t.bvals.(p.slot) <- Sim_intf.load_limbs ~width:p.pwidth buf off;
+    t.dirty <- true
+  end
+
 let peek_signal t (s : Signal.t) =
   let s = resolve s in
   if is_int s then Bits.of_int ~width:s.Signal.width t.ivals.(s.Signal.uid)

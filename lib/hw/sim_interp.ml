@@ -196,6 +196,30 @@ let write t p bits =
 
 let write_int t p n = write t p (Bits.of_int ~width:p.pwidth n)
 
+let read_words t p buf off =
+  Sim_intf.check_port_slice ~op:"read_words" ~name:p.pname ~width:p.pwidth buf
+    off;
+  let v = t.values.(p.uid) in
+  if p.pwidth <= Bits.max_int_width then buf.(off) <- Bits.to_int v
+  else Sim_intf.save_limbs v buf off
+
+let write_words t p buf off =
+  if not p.input then Sim_intf.not_an_input p.pname;
+  Sim_intf.check_port_slice ~op:"write_words" ~name:p.pname ~width:p.pwidth buf
+    off;
+  let cur = t.input_values.(p.uid) in
+  if p.pwidth <= Bits.max_int_width then begin
+    let v = buf.(off) land ((1 lsl p.pwidth) - 1) in
+    if Bits.to_int cur <> v then begin
+      t.input_values.(p.uid) <- Bits.of_int ~width:p.pwidth v;
+      t.dirty <- true
+    end
+  end
+  else if Sim_intf.limbs_differ cur buf off then begin
+    t.input_values.(p.uid) <- Sim_intf.load_limbs ~width:p.pwidth buf off;
+    t.dirty <- true
+  end
+
 let peek_signal t (s : Signal.t) = t.values.(s.Signal.uid)
 
 (* Register state as words, in [Circuit.registers] order ([t.regs] is

@@ -116,13 +116,40 @@ let save_limbs v buf off =
     buf.(off + i) <- Bits.get_limb v i
   done
 
+(* Valid bits of limb [i] of a [width]-bit vector. *)
+let limb_mask ~width i =
+  let r = width - (i * Bits.limb_width) in
+  if r >= Bits.limb_width then (1 lsl Bits.limb_width) - 1 else (1 lsl r) - 1
+
+(* A fresh vector from [reg_words width] limb words, each truncated to
+   its limb's valid bits. *)
 let load_limbs ~width buf off =
-  let v = Bits.zero width in
-  for i = 0 to reg_words width - 1 do
-    let pos = i * Bits.limb_width in
-    Bits.or_int_into v ~pos ~width:(min Bits.limb_width (width - pos)) buf.(off + i)
+  let limbs = Array.make (reg_words width) 0 in
+  for i = 0 to Array.length limbs - 1 do
+    limbs.(i) <- buf.(off + i) land limb_mask ~width i
   done;
-  v
+  Bits.unsafe_of_limbs ~width limbs
+
+(* Would [load_limbs] of the slice give a value other than [v]?  The
+   write side of the word ports compares before it allocates. *)
+let limbs_differ v buf off =
+  let width = Bits.width v in
+  let n = reg_words width in
+  let i = ref 0 in
+  while !i < n && Bits.get_limb v !i = buf.(off + !i) land limb_mask ~width !i do
+    incr i
+  done;
+  !i < n
+
+(* Word access to one port: a signal of width <= [Bits.max_int_width]
+   is one word, a wider one [reg_words] limbs — the [save_state]
+   layout of a register of the same width. *)
+let check_port_slice ~op ~name ~width buf off =
+  let words = reg_words width in
+  if off < 0 || off + words > Array.length buf then
+    invalid_arg
+      (Printf.sprintf "Sim.%s %s: %d words do not fit at offset %d of %d" op
+         name words off (Array.length buf))
 
 let () =
   Printexc.register_printer (function
@@ -192,6 +219,25 @@ module type S = sig
 
   val write_int : t -> port -> int -> unit
   (** {!write} of a non-negative int, truncated to the port width. *)
+
+  val read_words : t -> port -> int array -> int -> unit
+  (** [read_words t p buf off] stores the port's value into
+      [buf.(off) ..], in the layout {!save_state} gives a register of
+      the same width ({!reg_words}): one word for a width <=
+      [Bits.max_int_width], otherwise one word per
+      [Bits.limb_width]-bit limb, least significant first.  Allocates
+      nothing.  Raises [Invalid_argument] when the slice does not fit
+      in [buf]. *)
+
+  val write_words : t -> port -> int array -> int -> unit
+  (** [write_words t p buf off] sets the primary input behind the port
+      from a slice in the {!read_words} layout, each word truncated to
+      its bits.  The stored value is compared word by word first: an
+      unchanged value allocates nothing and leaves the circuit clean;
+      a changed one is stored as a fresh vector (registers and
+      memories may hold the old one) and dirties the circuit.  Raises
+      [Invalid_argument] like {!write} for a port that is not a
+      primary input, and when the slice does not fit in [buf]. *)
 
   val peek_signal : t -> Signal.t -> Bits.t
 

@@ -29,10 +29,10 @@
      are always materialized.
    - Wide ([Bits.t]) nodes and int nodes with wide operands are also
      emitted natively, as calls into the [Bits] limb-wise kernels over
-     the instance's [bv] slot array (concatenations assemble their
-     limbs in place via [Bits.or_int_into]/[or_bits_into], muxes are
-     pointer moves), so a 512-bit MD5 datapath pays no closure
-     dispatch either.  The [Sim_compiled] closure table is still
+     the instance's [bv] slot array (concatenations and selects are
+     limb literals — one [Bits.unsafe_of_limbs] over an array of int
+     limb expressions — muxes are pointer moves), so a 512-bit MD5
+     datapath pays no closure dispatch either.  The [Sim_compiled] closure table is still
      passed in as a safety net for any shape the emitter does not
      cover.
    - The three activity cones (full, input fan-out, state fan-out) are
@@ -60,7 +60,7 @@ let name = "jit"
 
 (* ---- configuration ---- *)
 
-let codegen_version = "jitv6"
+let codegen_version = "jitv7"
 let max_inline_depth = 120
 
 let cache_dir_override : string option ref = ref None
@@ -524,6 +524,50 @@ let int_operand (plan : plan) (x : Signal.t) =
   if J.is_int x then int_slot plan x.Signal.uid
   else Printf.sprintf "(Bits.to_int_trunc %s)" (wide_slot plan x.Signal.uid)
 
+(* ---- limb literals ----
+
+   A wide concatenation or select is emitted as one
+   [Bits.unsafe_of_limbs] over an array literal: a single allocation,
+   no zero fill, no per-part kernel call.  Operands are described as
+   terms [(e, at, vw)]: an int expression [e] whose value is below
+   [2^vw], to be placed at result bit [at] ([at] may be negative: its
+   low bits then fall off).  Limb [k] of the result is the OR of its
+   overlapping terms, each shifted into place, masked only when some
+   term carries bits past the limb or past the result width. *)
+
+let limb_terms v ~at ~width =
+  let lb = Bits.limb_width in
+  List.init
+    ((width + lb - 1) / lb)
+    (fun j ->
+      (Printf.sprintf "Bits.get_limb %s %d" v j, at + (j * lb),
+       min lb (width - (j * lb))))
+
+let limb_literal ~width terms =
+  let lb = Bits.limb_width in
+  let limb k =
+    let lo = k * lb in
+    let top = min ((k + 1) * lb) width in
+    let here = List.filter (fun (_, at, vw) -> at < top && at + vw > lo) terms in
+    let shifted (e, at, _) =
+      let sh = at - lo in
+      if sh = 0 then e
+      else if sh > 0 then Printf.sprintf "(%s lsl %d)" e sh
+      else Printf.sprintf "(%s lsr %d)" e (-sh)
+    in
+    let e =
+      match here with
+      | [] -> "0"
+      | [ t ] -> shifted t
+      | l -> "(" ^ String.concat " lor " (List.map shifted l) ^ ")"
+    in
+    if List.exists (fun (_, at, vw) -> at + vw > top) here then
+      Printf.sprintf "(%s land %s)" e (int_literal ((1 lsl (top - lo)) - 1))
+    else e
+  in
+  Printf.sprintf "Bits.unsafe_of_limbs ~width:%d [| %s |]" width
+    (String.concat "; " (List.init ((width + lb - 1) / lb) limb))
+
 (* Muxes with many cases index a per-node uid array bound in the
    prologue instead of expanding to a [match]. *)
 let mux_inline_cases = 8
@@ -589,24 +633,29 @@ let wide_stmt_of (plan : plan) (s : Signal.t) : string option =
             %s in if i__ >= %d then %d else i__))"
            arr d arr d sel_e nc (nc - 1))
   | Signal.Concat parts when not dest_int ->
-    let w = s.Signal.width in
-    let pos = ref w in
-    let fields =
-      List.map
-        (fun p ->
-          let p = J.resolve p in
-          pos := !pos - p.Signal.width;
-          if J.is_int p then
-            Printf.sprintf "Bits.or_int_into r__ ~pos:%d ~width:%d %s" !pos
-              p.Signal.width (int_slot plan p.Signal.uid)
-          else
-            Printf.sprintf "Bits.or_bits_into r__ ~pos:%d %s" !pos
-              (wide_slot plan p.Signal.uid))
-        parts
-    in
+    (* Parts are bound once, then each result limb ORs the operand
+       bits that land in it. *)
+    let pos = ref s.Signal.width in
+    let binds = ref [] and terms = ref [] in
+    List.iteri
+      (fun i p ->
+        let p = J.resolve p in
+        let pw = p.Signal.width and v = Printf.sprintf "k%d__" i in
+        pos := !pos - pw;
+        if J.is_int p then begin
+          binds := (v, int_slot plan p.Signal.uid) :: !binds;
+          terms := (v, !pos, pw) :: !terms
+        end
+        else begin
+          binds := (v, wide_slot plan p.Signal.uid) :: !binds;
+          terms := limb_terms v ~at:!pos ~width:pw @ !terms
+        end)
+      parts;
     Some
-      (Printf.sprintf "bv.(%d) <- (let r__ = Bits.zero %d in %s; r__)" d w
-         (String.concat "; " fields))
+      (Printf.sprintf "bv.(%d) <- (let %s in %s)" d
+         (String.concat " and "
+            (List.rev_map (fun (v, e) -> v ^ " = " ^ e) !binds))
+         (limb_literal ~width:s.Signal.width !terms))
   | Signal.Concat _ -> None (* narrow concats are always Emit-classified *)
   | Signal.Select { hi; lo; arg } ->
     let a = resolve_uid arg in
@@ -634,9 +683,13 @@ let wide_stmt_of (plan : plan) (s : Signal.t) : string option =
              (wide_slot plan a) hi lo)
     end
     else
+      (* Result bit [b] is source bit [lo + b]: the source limbs sit at
+         [-lo]; those outside the slice fall off or are masked off. *)
+      let src_w = (J.resolve arg).Signal.width in
       Some
-        (Printf.sprintf "bv.(%d) <- Bits.select %s ~hi:%d ~lo:%d" d
-           (wide_slot plan a) hi lo)
+        (Printf.sprintf "bv.(%d) <- (let a__ = %s in %s)" d (wide_slot plan a)
+           (limb_literal ~width:(hi - lo + 1)
+              (limb_terms "a__" ~at:(-lo) ~width:src_w)))
   | Signal.Mem_read { mem; addr } ->
     let mi = Hashtbl.find plan.mem_index mem.Signal.mem_uid in
     let size = mem.Signal.size in
@@ -898,7 +951,7 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       Array.iteri
         (fun i (q, _, _) -> add (Printf.sprintf "        bv.(%d) <- p%d;\n" q i))
         wrc;
-      add "        jit_state ()\n";
+      add "        ()\n";
       add "      end else begin\n";
       add body;
       add "      end\n";
@@ -906,7 +959,9 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       (* Chunked driver: self-calls whose arguments spill to the stack
          are not tail-eliminated on every target, so bound the depth
          and round-trip the registers through their slots between
-         chunks (one extra settle per 1024 cycles). *)
+         chunks.  Nothing between chunks reads a state-cone slot (the
+         body recomputes the cone from the registers it is passed), so
+         the cone is settled once, after the last chunk. *)
       add "    let left__ = ref n__ in\n";
       add "    while !left__ > 0 do\n";
       add "      let c__ = if !left__ > 1024 then 1024 else !left__ in\n";
@@ -915,7 +970,8 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       Array.iter (fun (q, _, _) -> add (Printf.sprintf " bv.(%d)" q)) wrc;
       add ";\n";
       add "      left__ := !left__ - c__\n";
-      add "    done\n";
+      add "    done;\n";
+      add "    jit_state ()\n";
       add "  in\n"
     | None ->
       add "  let jit_run n__ =\n";
@@ -1288,6 +1344,8 @@ let read t p = Sim_compiled.read t.base p
 let read_int t p = Sim_compiled.read_int t.base p
 let write t p v = Sim_compiled.write t.base p v
 let write_int t p n = Sim_compiled.write_int t.base p n
+let read_words t p buf off = Sim_compiled.read_words t.base p buf off
+let write_words t p buf off = Sim_compiled.write_words t.base p buf off
 
 let peek_signal t (s : Signal.t) =
   let r = J.resolve s in

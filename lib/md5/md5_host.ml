@@ -1,72 +1,159 @@
-(* Host-side driver for the MD5 circuit: hashes arbitrary-length
-   messages (one per thread) by feeding padded blocks with digest
-   chaining.
+(* Host-side drivers for the MD5 circuit, over one word path.
 
-   The barrier synchronizes ALL participating threads every episode,
-   so the host must keep the batches aligned: it proceeds in explicit
-   rounds of max-block-count batches, where a thread whose message has
-   fewer blocks contributes dummy blocks (standard IV, digest
-   discarded).  Each round is fully drained before the next is
-   submitted — exactly the discipline a hardware host controller for
-   the paper's design needs. *)
+   The circuit's wide ports are driven as words: the 640-bit "msg"
+   token is staged in a 20-word buffer in the 32-bit-limb layout of
+   [Hw.Sim.write_words] — [Md5_circuit.input_bits ~block ~iv] puts the
+   chaining value in bits 0..127 and the block above it, so chaining
+   words a..d are limbs 0..3 and block word w is limb 4 + w — and the
+   128-bit digest is read back as 4 words, a..d.  No [Bits.t] is built
+   on the host side.  [Serve.Md5_backend] drives the same ports through
+   the same [ports] record.
 
-let dummy_input () =
-  Md5_circuit.input_bits
-    ~block:(Bits.zero Md5_circuit.block_width)
-    ~iv:(Md5_ref.state_to_bits Md5_ref.iv)
+   [hash_messages] hashes arbitrary-length messages (one per thread)
+   by feeding padded blocks with digest chaining.  The barrier
+   synchronizes ALL participating threads every episode, so the host
+   must keep the batches aligned: it proceeds in explicit rounds of
+   max-block-count batches, where a thread whose message has fewer
+   blocks contributes dummy blocks (standard IV, digest discarded).
+   Each round is fully drained before the next is submitted — exactly
+   the discipline a hardware host controller for the paper's design
+   needs. *)
+
+let msg_words = Md5_circuit.input_width / Bits.limb_width
+let digest_words = Md5_circuit.state_width / Bits.limb_width
+
+let set_iv buf off =
+  let a, b, c, d = Md5_ref.iv in
+  buf.(off) <- a;
+  buf.(off + 1) <- b;
+  buf.(off + 2) <- c;
+  buf.(off + 3) <- d
+
+(* The dummy token: standard IV, all-zero block. *)
+let dummy_words =
+  let w = Array.make msg_words 0 in
+  set_iv w 0;
+  w
+
+type ports = {
+  msg_valid : Hw.Sim.port;
+  msg_data : Hw.Sim.port;
+  msg_ready : Hw.Sim.port;
+  digest_ready : Hw.Sim.port;
+  digest_fire : Hw.Sim.port;
+  digest_data : Hw.Sim.port;
+  round_counter : Hw.Sim.port;
+  stage : int array;
+  ready_reads_inputs : bool;
+}
+
+(* Does [s] depend combinationally on a primary input? *)
+let reads_inputs (s : Hw.Signal.t) =
+  let seen = Hashtbl.create 64 in
+  let rec go (s : Hw.Signal.t) =
+    match s.Hw.Signal.op with
+    | Hw.Signal.Input _ -> true
+    | _ ->
+      (not (Hashtbl.mem seen s.Hw.Signal.uid))
+      && begin
+        Hashtbl.add seen s.Hw.Signal.uid ();
+        List.exists go (Hw.Circuit.comb_deps s)
+      end
+  in
+  go s
+
+let ports sim =
+  let module N = Melastic.Names in
+  { msg_valid = Hw.Sim.input_port sim (N.valid "msg");
+    msg_data = Hw.Sim.input_port sim (N.data "msg");
+    msg_ready = Hw.Sim.signal_port sim (N.ready "msg");
+    digest_ready = Hw.Sim.input_port sim (N.ready "digest");
+    digest_fire = Hw.Sim.signal_port sim (N.fire "digest");
+    digest_data = Hw.Sim.signal_port sim (N.data "digest");
+    round_counter = Hw.Sim.signal_port sim "round_counter";
+    stage = Array.make msg_words 0;
+    ready_reads_inputs =
+      reads_inputs (Hw.Circuit.find_named (Hw.Sim.circuit sim) (N.ready "msg")) }
+
+(* The [msg] ready vector as it reads with every valid cleared.  The
+   circuit derives it from registered state (admission gate, merge
+   loopback), which the last cycle's settle left current; only when the
+   netlist shows an input in its cone are the valids cleared and the
+   circuit settled first. *)
+let source_ready p sim =
+  if p.ready_reads_inputs then begin
+    Hw.Sim.write_int p.msg_valid 0;
+    Hw.Sim.settle sim
+  end;
+  Hw.Sim.read_int p.msg_ready
+
+let send_block p ~chain ~chain_off msg k =
+  Array.blit chain chain_off p.stage 0 digest_words;
+  Md5_ref.fill_block msg k p.stage digest_words;
+  Hw.Sim.write_words p.msg_data p.stage 0
+
+let send_dummy p = Hw.Sim.write_words p.msg_data dummy_words 0
+let read_digest p buf off = Hw.Sim.read_words p.digest_data buf off
 
 (* Hash [messages] (thread i gets message i) on a simulator built from
    [Md5_circuit.circuit ~threads:(List.length messages)]; returns the
-   hex digests.  Raises [Failure] if the circuit does not finish
-   within [limit] cycles. *)
+   hex digests.  Per cycle: read the [msg] ready vector, inject one
+   pending block round-robin among the threads whose ready is high
+   (or clear the valids), settle, collect the digests that fire,
+   clock.  Raises
+   [Failure] if the circuit does not finish within [limit] cycles. *)
 let hash_messages ?(limit = 200_000) sim messages =
-  let threads = List.length messages in
-  let d =
-    Workload.Mt_driver.create sim ~src:"msg" ~snk:"digest" ~threads
-      ~width:Md5_circuit.input_width
-  in
-  let blocks = Array.of_list (List.map Md5_ref.padded_blocks messages) in
-  let chain =
-    Array.init threads (fun _ -> Md5_ref.state_to_bits Md5_ref.iv)
-  in
-  let rounds = Array.fold_left (fun acc b -> max acc (List.length b)) 0 blocks in
-  let budget = ref limit in
+  let msgs = Array.of_list messages in
+  let threads = Array.length msgs in
+  let p = ports sim in
+  Hw.Sim.write_int p.digest_ready ((1 lsl threads) - 1);
+  let blocks = Array.map (fun m -> Md5_ref.block_count (String.length m)) msgs in
+  let chains = Array.make (digest_words * threads) 0 in
+  for t = 0 to threads - 1 do set_iv chains (digest_words * t) done;
+  let rounds = Array.fold_left max 0 blocks in
+  let digest = Array.make digest_words 0 in
+  let pending = Array.make threads false in
+  let budget = ref limit and inject_ptr = ref 0 in
   for round = 0 to rounds - 1 do
-    (* Submit one batch: every thread sends a block (real or dummy). *)
-    let real = Array.make threads false in
-    for t = 0 to threads - 1 do
-      match List.nth_opt blocks.(t) round with
-      | Some block ->
-        real.(t) <- true;
-        Workload.Mt_driver.push d ~thread:t
-          (Md5_circuit.input_bits ~block:(Md5_ref.block_to_bits block)
-             ~iv:chain.(t))
-      | None -> Workload.Mt_driver.push d ~thread:t (dummy_input ())
-    done;
-    (* Drain the whole batch before the next round. *)
-    let target =
-      Array.init threads (fun t ->
-          List.length (Workload.Mt_driver.output_sequence d ~thread:t) + 1)
-    in
-    let batch_done () =
-      Array.for_all
-        (fun t ->
-          List.length (Workload.Mt_driver.output_sequence d ~thread:t)
-          >= target.(t))
-        (Array.init threads Fun.id)
-    in
-    while (not (batch_done ())) && !budget > 0 do
+    (* Submit one batch: every thread sends a block (real or dummy),
+       and the whole batch drains before the next round. *)
+    Array.fill pending 0 threads true;
+    let drained = ref 0 in
+    while !drained < threads && !budget > 0 do
       decr budget;
-      Workload.Mt_driver.step d
-    done;
-    if not (batch_done ()) then
-      failwith "Md5_host.hash_messages: cycle limit exceeded";
-    for t = 0 to threads - 1 do
-      if real.(t) then begin
-        let outs = Workload.Mt_driver.output_sequence d ~thread:t in
-        chain.(t) <- List.nth outs (List.length outs - 1)
+      let ready = source_ready p sim in
+      let chosen = ref (-1) in
+      for k = 0 to threads - 1 do
+        let i = (!inject_ptr + k) mod threads in
+        if !chosen < 0 && pending.(i) && ready land (1 lsl i) <> 0 then
+          chosen := i
+      done;
+      if !chosen >= 0 then begin
+        let i = !chosen in
+        pending.(i) <- false;
+        if round < blocks.(i) then
+          send_block p ~chain:chains ~chain_off:(digest_words * i) msgs.(i)
+            round
+        else send_dummy p;
+        Hw.Sim.write_int p.msg_valid (1 lsl i);
+        inject_ptr := (i + 1) mod threads
       end
-    done
+      else Hw.Sim.write_int p.msg_valid 0;
+      Hw.Sim.settle sim;
+      let fire = Hw.Sim.read_int p.digest_fire in
+      if fire <> 0 then begin
+        read_digest p digest 0;
+        for i = 0 to threads - 1 do
+          if fire land (1 lsl i) <> 0 then begin
+            incr drained;
+            if round < blocks.(i) then
+              Array.blit digest 0 chains (digest_words * i) digest_words
+          end
+        done
+      end;
+      Hw.Sim.cycle sim
+    done;
+    if !drained < threads then
+      failwith "Md5_host.hash_messages: cycle limit exceeded"
   done;
-  Array.to_list
-    (Array.map (fun c -> Md5_ref.to_hex (Md5_ref.state_of_bits c)) chain)
+  List.init threads (fun t -> Md5_ref.hex_of_words chains (digest_words * t))

@@ -91,6 +91,57 @@ let to_hex (a, b, c, d) =
 
 let digest msg = to_hex (digest_words msg)
 
+(* Hex rendering straight from int words: the digest words
+   [buf.(off) .. buf.(off + 3)], each as four little-endian bytes. *)
+let hex_digits = "0123456789abcdef"
+
+let hex_of_words buf off =
+  let b = Bytes.create 32 in
+  for w = 0 to 3 do
+    let x = buf.(off + w) in
+    for k = 0 to 3 do
+      let v = (x lsr (8 * k)) land 0xff in
+      Bytes.unsafe_set b ((8 * w) + (2 * k)) hex_digits.[v lsr 4];
+      Bytes.unsafe_set b ((8 * w) + (2 * k) + 1) hex_digits.[v land 15]
+    done
+  done;
+  Bytes.unsafe_to_string b
+
+(* Padded blocks of a message of [len] bytes: the message, the 0x80
+   delimiter and the 8-byte length, rounded up to 64 bytes. *)
+let block_count len = ((len + 8) / 64) + 1
+
+(* Byte [i] of [msg]'s padded form, [total] bytes long. *)
+let padded_byte msg ~total i =
+  let len = String.length msg in
+  if i < len then Char.code (String.unsafe_get msg i)
+  else if i = len then 0x80
+  else if i >= total - 8 then ((len * 8) lsr (8 * (i - (total - 8)))) land 0xff
+  else 0
+
+(* Block [k] of the padded message as 16 words, read from [msg] itself:
+   the padded copy [pad_message] builds is never made.  Whole message
+   words are one 32-bit load each; only the words the padding touches
+   are assembled byte by byte. *)
+let fill_block msg k buf off =
+  let len = String.length msg in
+  let total = block_count len * 64 in
+  if k < 0 || k * 64 >= total then
+    invalid_arg (Printf.sprintf "Md5_ref.fill_block: no block %d" k);
+  if off < 0 || off + 16 > Array.length buf then
+    invalid_arg "Md5_ref.fill_block: 16 words do not fit";
+  for i = 0 to 15 do
+    let base = (k * 64) + (i * 4) in
+    buf.(off + i) <-
+      (if base + 4 <= len then
+         Int32.to_int (String.get_int32_le msg base) land mask32
+       else
+         padded_byte msg ~total base
+         lor (padded_byte msg ~total (base + 1) lsl 8)
+         lor (padded_byte msg ~total (base + 2) lsl 16)
+         lor (padded_byte msg ~total (base + 3) lsl 24))
+  done
+
 (* All padded 512-bit blocks of an arbitrary message, as word arrays. *)
 let padded_blocks msg =
   let padded = pad_message msg in

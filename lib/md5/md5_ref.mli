@@ -36,10 +36,25 @@ val digest_words : string -> int * int * int * int
 val to_hex : int * int * int * int -> string
 (** Standard lowercase-hex digest rendering. *)
 
+val hex_of_words : int array -> int -> string
+(** [hex_of_words buf off] is {!to_hex} of the four words
+    [buf.(off) .. buf.(off + 3)], rendered without [Printf]. *)
+
 val digest : string -> string
 
 val padded_blocks : string -> int array list
 (** All padded blocks of an arbitrary message, first block first. *)
+
+val block_count : int -> int
+(** Padded blocks of a message of that many bytes
+    ([List.length (padded_blocks msg)]). *)
+
+val fill_block : string -> int -> int array -> int -> unit
+(** [fill_block msg k buf off] writes the 16 words of block [k] of the
+    padded message — word [i] of [List.nth (padded_blocks msg) k] — to
+    [buf.(off + i)], reading [msg] directly and allocating nothing.
+    Raises [Invalid_argument] when there is no block [k] or the 16
+    words do not fit in [buf]. *)
 
 (** {1 Single-block helpers for the circuit} *)
 

@@ -46,6 +46,7 @@ type ('job, 'res) t = {
   mutable rr_cls : int;
   mutable steps : int;
   mutable retries : int;
+  mutable events : 'res event list; (* this step's, newest first *)
 }
 
 let create ?(classes = [ default_class ]) replica =
@@ -66,7 +67,8 @@ let create ?(classes = [ default_class ]) replica =
     queue_depth_gauge = Melastic.Profile.gauge_hist profile gauge_queue_depth;
     rr_cls = 0;
     steps = 0;
-    retries = 0 }
+    retries = 0;
+    events = [] }
 
 let classes t = t.classes
 let profile t = t.profile
@@ -171,73 +173,91 @@ let expired now entry =
 
 (* Deadline expiry: burn a retry if the budget allows (the deadline
    baseline restarts, the attempt count ticks), else time out. *)
-let expire t now entry events =
+let expire t now entry =
   if entry.q_tries < entry.q_retries then begin
     t.retries <- t.retries + 1;
     let entry = { entry with q_eff_arrival = now; q_tries = entry.q_tries + 1 } in
     if not (enqueue t entry) then
-      events := Shed { id = entry.q_id; at = now } :: !events
+      t.events <- Shed { id = entry.q_id; at = now } :: t.events
   end
-  else events := Timed_out { id = entry.q_id; tries = entry.q_tries + 1 } :: !events
+  else
+    t.events <- Timed_out { id = entry.q_id; tries = entry.q_tries + 1 } :: t.events
 
-let pick t =
+(* The next class to refill from, round-robin over the non-empty
+   queues, or -1 when every queue is empty. *)
+let pick_class t =
   let nc = Array.length t.classes in
-  let rec go k =
-    if k >= nc then None
-    else
-      let ci = (t.rr_cls + k) mod nc in
-      if Queue.is_empty t.queues.(ci) then go (k + 1)
-      else begin
-        t.rr_cls <- (ci + 1) mod nc;
-        let e = Queue.pop t.queues.(ci) in
-        dequeued t e;
-        Some e
-      end
-  in
-  go 0
+  let k = ref 0 in
+  while !k < nc && Queue.is_empty t.queues.((t.rr_cls + !k) mod nc) do
+    incr k
+  done;
+  if !k < nc then (t.rr_cls + !k) mod nc else -1
 
+(* Queued-deadline expiry over one queue (whole queue, not just the
+   head: a deep queue must not hide an expired entry behind fresh
+   ones). *)
+let expire_queue t now q =
+  for _ = 1 to Queue.length q do
+    let e = Queue.pop q in
+    if expired now e then begin
+      dequeued t e;
+      expire t now e
+    end
+    else Queue.add e q
+  done
+
+let rec harvest t = function
+  | [] -> ()
+  | (s, res) :: rest ->
+    (match t.running.(s) with
+     | Some e ->
+       let latency = t.replica.cycle_no () - e.q_arrival in
+       t.events <-
+         Completed { id = e.q_id; result = res; latency; slot = s } :: t.events;
+       t.running.(s) <- None
+     | None ->
+       (* A completion on a slot the host no longer tracks (e.g. a
+          cancelled occupancy the backend failed to swallow): drop it
+          rather than mis-attribute it. *)
+       ());
+    harvest t rest
+
+(* Written as loops over top-level helpers, so a cycle with no events
+   allocates nothing here: no closures, no event list. *)
 let step t =
-  let events = ref [] in
   let now = t.replica.cycle_no () in
-  (* 1. queued-deadline expiry (whole queue, not just the head: a deep
-     queue must not hide an expired entry behind fresh ones).  With no
-     deadline-bearing entry queued nothing can expire, and the rotation
-     would be the identity. *)
+  (* 1. queued-deadline expiry.  With no deadline-bearing entry queued
+     nothing can expire, and the rotation would be the identity. *)
   if t.queued_deadlines > 0 then
-    Array.iter
-      (fun q ->
-        for _ = 1 to Queue.length q do
-          let e = Queue.pop q in
-          if expired now e then begin
-            dequeued t e;
-            expire t now e events
-          end
-          else Queue.add e q
-        done)
-      t.queues;
+    for ci = 0 to Array.length t.queues - 1 do
+      expire_queue t now t.queues.(ci)
+    done;
   (* Arrival-instant gauge sample: the backlog as refill sees it, so a
      job that transits the queue within this very cycle (a fresh
      arrival, a retry re-admission) still registers. *)
   let qd_at_refill = queue_depth t in
   (* 2. refill free slots from the queues *)
   for s = 0 to t.replica.slots - 1 do
-    if Option.is_none t.running.(s) && t.replica.slot_free s then
-      match pick t with
-      | Some e ->
+    if Option.is_none t.running.(s) && t.replica.slot_free s then begin
+      let ci = pick_class t in
+      if ci >= 0 then begin
+        t.rr_cls <- (ci + 1) mod Array.length t.classes;
+        let e = Queue.pop t.queues.(ci) in
+        dequeued t e;
         t.replica.start ~slot:s e.q_payload;
         t.running.(s) <- Some e
-      | None -> ()
+      end
+    end
   done;
   (* 3. running-deadline expiry: cancel the slot, recycle the job *)
-  Array.iteri
-    (fun s ro ->
-      match ro with
-      | Some e when expired now e ->
-        t.replica.cancel ~slot:s;
-        t.running.(s) <- None;
-        expire t now e events
-      | _ -> ())
-    t.running;
+  for s = 0 to Array.length t.running - 1 do
+    match t.running.(s) with
+    | Some e when expired now e ->
+      t.replica.cancel ~slot:s;
+      t.running.(s) <- None;
+      expire t now e
+    | _ -> ()
+  done;
   (* 4. metrics: occupancy, and the peak backlog seen this cycle *)
   Melastic.Histogram.add t.busy_gauge (busy_slots t);
   Melastic.Histogram.add t.queue_depth_gauge (max qd_at_refill (queue_depth t));
@@ -245,21 +265,12 @@ let step t =
   t.replica.step ();
   t.steps <- t.steps + 1;
   (* 6. harvest completions *)
-  List.iter
-    (fun (s, res) ->
-      match t.running.(s) with
-      | Some e ->
-        let latency = t.replica.cycle_no () - e.q_arrival in
-        events :=
-          Completed { id = e.q_id; result = res; latency; slot = s } :: !events;
-        t.running.(s) <- None
-      | None ->
-        (* A completion on a slot the host no longer tracks (e.g. a
-           cancelled occupancy the backend failed to swallow): drop it
-           rather than mis-attribute it. *)
-        ())
-    (t.replica.completions ());
-  List.rev !events
+  harvest t (t.replica.completions ());
+  match t.events with
+  | [] -> []
+  | evs ->
+    t.events <- [];
+    List.rev evs
 
 let outstanding t =
   let ids = ref [] in

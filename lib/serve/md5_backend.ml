@@ -11,23 +11,29 @@
    a dummy block, so the barrier episode can always complete even with
    idle slots.  This is the padding bubble of continuous batching:
    occupancy measures how much of the datapath's S-way time-sharing
-   the offered load actually uses. *)
+   the offered load actually uses.
+
+   Wide values move as words through [Md5.Md5_host.ports]: a slot's
+   chaining value is 4 ints, an injection stages chain and block words
+   in a 20-word buffer for [Hw.Sim.write_words], a fired digest is read
+   with [Hw.Sim.read_words], and hex is rendered once per job. *)
 
 let monitored_probes = [ "msg"; "digest"; "md5_dp"; "md5_bar_in"; "md5_barrier" ]
 
+(* A job keeps its message and the index of its next block; the padded
+   blocks are never materialized.  The slot's 4-word chaining value
+   lives in the replica's [chains] array. *)
 type busy = {
-  mutable blocks : int array list;  (* remaining blocks of the message *)
-  mutable chain : Bits.t;  (* 128-bit chaining value *)
-  mutable injected : bool;  (* head block is in the loop right now *)
+  msg : string;
+  blocks : int;  (* padded block count *)
+  mutable block : int;  (* the block in the loop, or the next to inject *)
+  mutable injected : bool;  (* block [block] is in the loop right now *)
   mutable cancelled : bool;
 }
 
 type slot_state = Free | Busy of busy
 
-let dummy_input =
-  Md5.Md5_circuit.input_bits
-    ~block:(Bits.zero Md5.Md5_circuit.block_width)
-    ~iv:(Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv)
+let is_free = function Free -> true | Busy _ -> false
 
 let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     _index : (string, string) Engine.replica =
@@ -67,14 +73,14 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
   let inj_window = Array.make slots (-1) in
   let inject_ptr = ref 0 in
   let completions = ref [] in
-  (* Every signal the per-cycle step touches, resolved once. *)
-  let msg_valid = Hw.Sim.input_port sim (Melastic.Names.valid "msg") in
-  let msg_data = Hw.Sim.input_port sim (Melastic.Names.data "msg") in
-  let msg_ready = Hw.Sim.signal_port sim (Melastic.Names.ready "msg") in
-  let digest_fire = Hw.Sim.signal_port sim (Melastic.Names.fire "digest") in
-  let digest_data = Hw.Sim.signal_port sim (Melastic.Names.data "digest") in
-  let round_counter = Hw.Sim.signal_port sim "round_counter" in
-  Hw.Sim.poke sim (Melastic.Names.ready "digest") (Bits.ones slots);
+  (* Every signal the per-cycle step touches, resolved once; wide
+     values move as words (chaining values, the staged token, the
+     digest), so a cycle builds no [Bits.t] on the host side. *)
+  let p = Md5.Md5_host.ports sim in
+  let dw = Md5.Md5_host.digest_words in
+  let chains = Array.make (dw * slots) 0 in
+  let digest = Array.make dw 0 in
+  Hw.Sim.write_int p.digest_ready ((1 lsl slots) - 1);
   let real_pending i =
     match slot.(i) with
     | Busy b -> (not b.cancelled) && not b.injected
@@ -93,10 +99,8 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     !found
   in
   let step () =
-    (* Clear valids, settle, observe which threads could enter. *)
-    Hw.Sim.write_int msg_valid 0;
-    Hw.Sim.settle sim;
-    let ready = Hw.Sim.read_int msg_ready in
+    (* Observe which threads could enter. *)
+    let ready = Md5.Md5_host.source_ready p sim in
     (* Round-robin: one injection per cycle at most. *)
     let chosen = ref (-1) in
     for k = 0 to slots - 1 do
@@ -107,25 +111,22 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     done;
     if !chosen >= 0 then begin
       let i = !chosen in
-      let data =
-        match slot.(i) with
-        | Busy b when (not b.cancelled) && not b.injected ->
-          b.injected <- true;
-          Md5.Md5_circuit.input_bits
-            ~block:(Md5.Md5_ref.block_to_bits (List.hd b.blocks))
-            ~iv:b.chain
-        | _ -> dummy_input
-      in
-      Hw.Sim.write_int msg_valid (1 lsl i);
-      Hw.Sim.write msg_data data;
+      (match slot.(i) with
+       | Busy b when (not b.cancelled) && not b.injected ->
+         b.injected <- true;
+         Md5.Md5_host.send_block p ~chain:chains ~chain_off:(dw * i) b.msg
+           b.block
+       | _ -> Md5.Md5_host.send_dummy p);
+      Hw.Sim.write_int p.msg_valid (1 lsl i);
       hw_busy.(i) <- true;
       inj_window.(i) <- !window;
       inject_ptr := (i + 1) mod slots
-    end;
+    end
+    else Hw.Sim.write_int p.msg_valid 0;
     Hw.Sim.settle sim;
-    let fire = Hw.Sim.read_int digest_fire in
+    let fire = Hw.Sim.read_int p.digest_fire in
     if fire <> 0 then begin
-      let digest = Hw.Sim.read digest_data in
+      Md5.Md5_host.read_digest p digest 0;
       for i = 0 to slots - 1 do
         if fire land (1 lsl i) <> 0 then begin
           hw_busy.(i) <- false;
@@ -133,13 +134,13 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
           | Busy b when b.injected ->
             if b.cancelled then slot.(i) <- Free
             else begin
-              b.chain <- digest;
-              b.blocks <- List.tl b.blocks;
+              Array.blit digest 0 chains (dw * i) dw;
+              b.block <- b.block + 1;
               b.injected <- false;
-              if b.blocks = [] then begin
+              if b.block = b.blocks then begin
+                (* Hex is rendered once per job, on completion. *)
                 completions :=
-                  (i, Md5.Md5_ref.to_hex (Md5.Md5_ref.state_of_bits digest))
-                  :: !completions;
+                  (i, Md5.Md5_ref.hex_of_words chains (dw * i)) :: !completions;
                 slot.(i) <- Free
               end
             end
@@ -148,21 +149,23 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
       done
     end;
     Hw.Sim.cycle sim;
-    let c = Hw.Sim.read_int round_counter in
+    let c = Hw.Sim.read_int p.round_counter in
     if !last_ctr <> 0 && c = 0 then incr window;
     last_ctr := c
   in
   { Engine.slots;
-    slot_free = (fun i -> slot.(i) = Free);
+    slot_free = (fun i -> is_free slot.(i));
     start =
       (fun ~slot:i msg ->
         (match slot.(i) with
          | Free -> ()
          | Busy _ -> invalid_arg "Md5_backend.start: slot not free");
+        Md5.Md5_host.set_iv chains (dw * i);
         slot.(i) <-
           Busy
-            { blocks = Md5.Md5_ref.padded_blocks msg;
-              chain = Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv;
+            { msg;
+              blocks = Md5.Md5_ref.block_count (String.length msg);
+              block = 0;
               injected = false;
               cancelled = false });
     cancel =

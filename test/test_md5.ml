@@ -39,6 +39,51 @@ let test_block_roundtrip () =
         (Bits.to_int (Bits.select bits ~hi:((32 * (i + 1)) - 1) ~lo:(32 * i))))
     words
 
+(* [fill_block] is [padded_blocks] without the padded copy: every block
+   of every length 0..200 (all of 55/56/63/64 included), written at an
+   offset inside a larger buffer. *)
+let prop_fill_block_matches_padded_blocks =
+  let arb =
+    QCheck.make
+      ~print:(fun (len, c) -> Printf.sprintf "len=%d seed char=%d" len c)
+      QCheck.Gen.(
+        oneof [ int_bound 200; oneofl [ 0; 55; 56; 63; 64; 119; 120; 128 ] ]
+        >>= fun len -> int_bound 255 >>= fun c -> return (len, c))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"fill_block matches padded_blocks" arb
+       (fun (len, c) ->
+         let msg = String.init len (fun i -> Char.chr ((c + (i * 37)) land 0xff)) in
+         let blocks = Md5.Md5_ref.padded_blocks msg in
+         let buf = Array.make 20 (-1) in
+         List.length blocks = Md5.Md5_ref.block_count len
+         && List.for_all2
+              (fun k words ->
+                Md5.Md5_ref.fill_block msg k buf 3;
+                buf.(2) = -1 && buf.(19) = -1 && Array.sub buf 3 16 = words)
+              (List.init (List.length blocks) Fun.id)
+              blocks))
+
+let test_fill_block_errors () =
+  let buf = Array.make 16 0 in
+  Alcotest.check_raises "block past the end"
+    (Invalid_argument "Md5_ref.fill_block: no block 1") (fun () ->
+      Md5.Md5_ref.fill_block "abc" 1 buf 0);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Md5_ref.fill_block: 16 words do not fit") (fun () ->
+      Md5.Md5_ref.fill_block "abc" 0 buf 1)
+
+(* The int renderer agrees with the [Printf] reference. *)
+let prop_hex_of_words =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"hex_of_words matches to_hex"
+       QCheck.(quad int int int int)
+       (fun (a, b, c, d) ->
+         let m = Md5.Md5_ref.mask32 in
+         let a = a land m and b = b land m and c = c land m and d = d land m in
+         Md5.Md5_ref.hex_of_words [| 7; a; b; c; d |] 1
+         = Md5.Md5_ref.to_hex (a, b, c, d)))
+
 (* Drive the circuit: one message per thread, compare digests. *)
 let standard_iv = Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv
 
@@ -191,4 +236,7 @@ let suite =
     @ [ Alcotest.test_case "multi-block 1000 bytes" `Quick test_multiblock_very_long;
         Alcotest.test_case "circuit 8 threads (paper config)" `Quick
           test_circuit_eight_threads;
-        prop_circuit_matches_reference ] )
+        prop_circuit_matches_reference;
+        prop_fill_block_matches_padded_blocks;
+        Alcotest.test_case "fill_block errors" `Quick test_fill_block_errors;
+        prop_hex_of_words ] )

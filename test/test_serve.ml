@@ -305,6 +305,144 @@ let test_queue_depth_gauge_counts_transients () =
   Alcotest.(check bool) "gauge saw the retried job" true
     (s.Serve.Engine.r_queue_depth_max >= 1)
 
+(* The (cycle, slot, digest) stream of one monitored MD5 replica under
+   a seeded load of multi-block messages, with a cancel of a job that
+   was never injected and one of a job whose block is in the loop. *)
+let md5_serve_stream backend =
+  let saved = !Hw.Sim.default_backend in
+  Hw.Sim.default_backend := backend;
+  Fun.protect
+    ~finally:(fun () -> Hw.Sim.default_backend := saved)
+    (fun () ->
+      let slots = 4 in
+      let r = Serve.Md5_backend.make ~monitor:true ~slots () 0 in
+      let st = Random.State.make [| 0x5e7e |] in
+      let jobs =
+        Array.init 14 (fun j ->
+            let len =
+              match j with
+              | 0 -> 0
+              | 1 -> 55
+              | 3 -> 56
+              | 4 -> 64
+              | _ -> Random.State.int st 200
+            in
+            String.init len (fun _ -> Char.chr (32 + Random.State.int st 95)))
+      in
+      let out = Buffer.create 4096 in
+      let line fmt = Printf.bprintf out (fmt ^^ "\n") in
+      let owner = Array.make slots (-1) in
+      let started = Array.make slots 0 in
+      let next = ref 0 and cycle = ref 0 in
+      while (!next < Array.length jobs || Array.exists (fun o -> o >= 0) owner)
+            && !cycle < 20_000 do
+        for s = 0 to slots - 1 do
+          if owner.(s) < 0 && r.Serve.Backend_intf.slot_free s
+             && !next < Array.length jobs
+             && Random.State.int st 4 = 0
+          then begin
+            let j = !next in
+            incr next;
+            r.start ~slot:s jobs.(j);
+            line "%d start s%d j%d len %d" !cycle s j (String.length jobs.(j));
+            if j = 2 then begin
+              (* never injected: frees at once *)
+              r.cancel ~slot:s;
+              line "%d cancel s%d j%d free %b" !cycle s j (r.slot_free s)
+            end
+            else begin
+              owner.(s) <- j;
+              started.(s) <- !cycle
+            end
+          end
+        done;
+        for s = 0 to slots - 1 do
+          if owner.(s) = 6 && !cycle - started.(s) = 30 then begin
+            (* its block is in the loop: the slot stays busy *)
+            r.cancel ~slot:s;
+            line "%d cancel s%d j6 free %b" !cycle s (r.slot_free s);
+            owner.(s) <- -1
+          end
+        done;
+        r.step ();
+        incr cycle;
+        List.iter
+          (fun (s, d) ->
+            line "%d done s%d j%d %s %s" (r.cycle_no ()) s owner.(s) d
+              (if owner.(s) >= 0 && d = Md5.Md5_ref.digest jobs.(owner.(s))
+               then "ok" else "BAD");
+            owner.(s) <- -1)
+          (r.completions ())
+      done;
+      r.finish ();
+      line "end %d violations %d" (r.cycle_no ()) (r.violations ());
+      Buffer.contents out)
+
+(* Captured before the replica moved to the word-port driver; every
+   backend must reproduce it byte for byte. *)
+let md5_serve_stream_pinned =
+  [ "1 start s0 j0 len 0";
+    "1 start s3 j1 len 55";
+    "2 start s2 j2 len 29";
+    "2 cancel s2 j2 free true";
+    "5 start s2 j3 len 56";
+    "28 start s1 j4 len 64";
+    "36 done s0 j0 d41d8cd98f00b204e9800998ecf8427e ok";
+    "39 done s3 j1 42e87d6f4e69a0d1aa980c49da55857b ok";
+    "41 start s0 j5 len 107";
+    "45 start s3 j6 len 135";
+    "75 cancel s3 j6 free false";
+    "108 done s1 j4 ef903b06fd6b545cbd7f9bf4a356b4d8 ok";
+    "109 done s2 j3 d3a10c5a85bab52f8edbe5cd7bc17ba9 ok";
+    "109 start s2 j7 len 161";
+    "113 start s3 j8 len 106";
+    "117 start s1 j9 len 127";
+    "146 done s0 j5 55d2e69752f982b53528289a7e3300f1 ok";
+    "147 start s0 j10 len 33";
+    "216 done s2 j7 d5a758db5cd3845b9fe676d4c0770146 ok";
+    "217 done s3 j8 d44edf81ddf7ab3cf2deccc22e7eea45 ok";
+    "217 start s3 j11 len 93";
+    "218 done s0 j10 57dddcb789a203386137f573ad35d624 ok";
+    "222 start s2 j12 len 55";
+    "224 start s0 j13 len 183";
+    "254 done s1 j9 01ff0d7d50e23dff9f8f833f062b41b4 ok";
+    "288 done s3 j11 a0b9fd129bdb8f477b9c45aeb13f2033 ok";
+    "291 done s2 j12 362376b5a15060b07e857e1e9170b833 ok";
+    "360 done s0 j13 798f9af21f8f17e14c8be02bca8a6df0 ok";
+    "end 363 violations 0" ]
+
+let test_md5_serve_stream_pinned backend () =
+  Alcotest.(check string)
+    (Hw.Sim.backend_to_string backend ^ " stream")
+    (String.concat "\n" md5_serve_stream_pinned ^ "\n")
+    (md5_serve_stream backend)
+
+(* A host over a replica that does nothing: a cycle with no arrival,
+   no expiry and no completion allocates nothing in [Host.step]. *)
+let test_host_step_quiet_cycle_allocates_nothing () =
+  let cycle = ref 0 in
+  let replica =
+    { Serve.Backend_intf.slots = 4;
+      slot_free = (fun _ -> true);
+      start = (fun ~slot:_ _ -> ());
+      cancel = (fun ~slot:_ -> ());
+      step = (fun () -> incr cycle);
+      completions = (fun () -> []);
+      cycle_no = (fun () -> !cycle);
+      finish = (fun () -> ());
+      violations = (fun () -> 0) }
+  in
+  let host : (string, string) Serve.Host.t = Serve.Host.create replica in
+  ignore (Serve.Host.step host);
+  let words n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do ignore (Sys.opaque_identity (Serve.Host.step host)) done;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.)) "words over 1000 quiet cycles" 0.
+    (words 1000 -. words 0);
+  Alcotest.(check int) "stepped" 1001 !cycle
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "md5 refill conserves" `Quick test_md5_refill_conserves;
@@ -324,4 +462,13 @@ let suite =
       Alcotest.test_case "poisson load" `Quick test_poisson_load;
       Alcotest.test_case "latency histogram" `Quick test_latency_histogram;
       Alcotest.test_case "queue-depth gauge transients" `Quick
-        test_queue_depth_gauge_counts_transients ] )
+        test_queue_depth_gauge_counts_transients;
+      Alcotest.test_case "host step: quiet cycle allocates nothing" `Quick
+        test_host_step_quiet_cycle_allocates_nothing ]
+    @ List.map
+        (fun b ->
+          Alcotest.test_case
+            (Printf.sprintf "md5 serve stream pinned (%s)"
+               (Hw.Sim.backend_to_string b))
+            `Quick (test_md5_serve_stream_pinned b))
+        [ Hw.Sim.Interp; Hw.Sim.Compiled; Hw.Sim.Jit ] )

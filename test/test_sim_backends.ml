@@ -901,6 +901,211 @@ let test_jit_concurrent_builders () =
            (String.starts_with ~prefix:"stage-")
            (Array.to_list (Sys.readdir (Filename.dirname cmxs)))))
 
+(* ---- wide values: limb-literal codegen and word ports ---- *)
+
+(* Wide feedback registers whose next values are concatenations of
+   parts at odd offsets — inputs of odd widths, registers, selects
+   whose [lo] is not a multiple of 32 and that reach the top limb —
+   mixed with rotations (themselves a concat of two such selects).
+   The concats and selects sit in the state cone, so the JIT's batched
+   free-run evaluates them too. *)
+let wide_limb_circuit st =
+  let b = S.Builder.create () in
+  let odd = [| 1; 5; 31; 33; 45; 62; 63; 70; 97; 131 |] in
+  let ins =
+    Array.init 3 (fun i ->
+        S.input b (Printf.sprintf "in%d" i)
+          odd.(Random.State.int st (Array.length odd)))
+  in
+  let widths = Array.init 4 (fun _ -> 63 + Random.State.int st 140) in
+  let qs = Array.map (S.wire b) widths in
+  let pool = Array.append ins qs in
+  let rec parts acc need =
+    if need <= 0 then acc
+    else begin
+      let x = pool.(Random.State.int st (Array.length pool)) in
+      let xw = S.width x in
+      let part =
+        if xw > 1 && Random.State.bool st then
+          S.select b x ~hi:(xw - 1) ~lo:(1 + Random.State.int st (xw - 1))
+        else x
+      in
+      parts (part :: acc) (need - S.width part)
+    end
+  in
+  let wide_of w =
+    let cat = S.concat_msb b (parts [] w) in
+    if S.width cat = w then cat
+    else S.select b cat ~hi:(S.width cat - 1) ~lo:(S.width cat - w)
+  in
+  Array.iteri
+    (fun i q ->
+      let w = widths.(i) in
+      let next = S.lxor_ b (wide_of w) (S.rotl b q (1 + (13 * i mod (w - 1)))) in
+      let r = S.reg b ~init:(Bits.random st ~width:w) next in
+      S.assign q r;
+      ignore (S.output b (Printf.sprintf "q%d" i) r))
+    qs;
+  ignore (S.output b "c" (wide_of (100 + Random.State.int st 100)));
+  Hw.Circuit.create b
+
+(* The JIT's limb literals against the interpreter: stepped lockstep
+   with fresh inputs every cycle, then a free-run across the batched
+   loop's 1024-cycle chunk boundary with the inputs held. *)
+let test_jit_wide_limb_lockstep () =
+  let st = Random.State.make [| 0x11b5 |] in
+  for k = 1 to 3 do
+    let circuit = wide_limb_circuit st in
+    let si = Hw.Sim.create ~backend:Hw.Sim.Interp circuit in
+    let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+    drive_lockstep ~cycles:20 st si sj;
+    Hw.Sim.cycles sj 1100;
+    for _ = 1 to 1100 do Hw.Sim.cycle si done;
+    check_outputs (Printf.sprintf "circuit %d: free-run" k) si sj
+  done
+
+(* The word layout of one value, computed from the [Bits] API alone. *)
+let words_of v =
+  let w = Bits.width v in
+  if w <= Bits.max_int_width then [| Bits.to_int v |]
+  else
+    Array.init
+      ((w + Bits.limb_width - 1) / Bits.limb_width)
+      (fun i ->
+        let lo = i * Bits.limb_width in
+        Bits.select_int v ~hi:(min (w - 1) (lo + Bits.limb_width - 1)) ~lo)
+
+let word_widths = [ 1; 32; 62; 63; 128; 640 ]
+
+(* One input per width, each feeding a register and a combinational
+   inversion, so a changed input does work on the next settle. *)
+let word_port_circuit () =
+  let b = S.Builder.create () in
+  List.iter
+    (fun w ->
+      let x = S.input b (Printf.sprintf "x%d" w) w in
+      ignore (S.output b (Printf.sprintf "n%d" w) (S.lnot b x));
+      ignore (S.output b (Printf.sprintf "r%d" w) (S.reg b x)))
+    word_widths;
+  Hw.Circuit.create b
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* read_words/write_words agree with read/write at every width on every
+   backend; an unchanged rewrite allocates nothing and leaves the next
+   settle free; bad slices and non-input targets raise. *)
+let test_word_ports () =
+  let st = Random.State.make [| 0x3047 |] in
+  List.iter
+    (fun backend ->
+      let tag = Hw.Sim.backend_to_string backend in
+      let sim = Hw.Sim.create ~backend (word_port_circuit ()) in
+      let byname = Hw.Sim.create ~backend (word_port_circuit ()) in
+      let ports =
+        List.map
+          (fun w ->
+            ( w,
+              Hw.Sim.input_port sim (Printf.sprintf "x%d" w),
+              Hw.Sim.signal_port sim (Printf.sprintf "n%d" w),
+              Hw.Sim.signal_port sim (Printf.sprintf "r%d" w) ))
+          word_widths
+      in
+      let buf = Array.make 24 0 in
+      for c = 1 to 6 do
+        List.iter
+          (fun (w, x, n, r) ->
+            let t = Printf.sprintf "%s w=%d cycle %d" tag w c in
+            let v = Bits.random st ~width:w in
+            let words = words_of v in
+            (* Through a non-zero offset, with a neighbour either side. *)
+            Array.fill buf 0 (Array.length buf) (-1);
+            Array.blit words 0 buf 2 (Array.length words);
+            if c mod 2 = 0 then Hw.Sim.write_words x buf 2 else Hw.Sim.write x v;
+            Hw.Sim.poke byname (Printf.sprintf "x%d" w) v;
+            Hw.Sim.settle sim;
+            Hw.Sim.settle byname;
+            Alcotest.(check bool) (t ^ ": read after write") true
+              (Bits.equal v (Hw.Sim.read x));
+            List.iter
+              (fun (p, nm) ->
+                let want = Hw.Sim.peek byname nm in
+                Hw.Sim.read_words p buf 1;
+                Alcotest.(check (array int))
+                  (t ^ ": read_words " ^ nm)
+                  (words_of want)
+                  (Array.sub buf 1 (Array.length words));
+                Alcotest.(check int) (t ^ ": neighbour kept") (-1) buf.(0))
+              [ (x, Printf.sprintf "x%d" w); (n, Printf.sprintf "n%d" w);
+                (r, Printf.sprintf "r%d" w) ])
+          ports;
+        Hw.Sim.cycle sim;
+        Hw.Sim.cycle byname
+      done;
+      (* Rewriting the current words is free, and so is the settle
+         after it; a changed word dirties the circuit. *)
+      Hw.Sim.settle sim;
+      List.iter
+        (fun (w, x, _, _) ->
+          let t = Printf.sprintf "%s w=%d" tag w in
+          Hw.Sim.read_words x buf 0;
+          ignore (minor_words_of (fun () -> Hw.Sim.write_words x buf 0));
+          Alcotest.(check (float 0.)) (t ^ ": unchanged rewrite allocates") 0.
+            (minor_words_of (fun () -> Hw.Sim.write_words x buf 0));
+          Alcotest.(check (float 0.)) (t ^ ": settle after it is free") 0.
+            (minor_words_of (fun () -> Hw.Sim.settle sim));
+          buf.(0) <- buf.(0) lxor 1;
+          Hw.Sim.write_words x buf 0;
+          Alcotest.(check bool) (t ^ ": a changed word costs a settle") true
+            (minor_words_of (fun () -> Hw.Sim.settle sim) > 0.))
+        ports;
+      List.iter
+        (fun (w, x, n, _) ->
+          let k = Hw.Sim_intf.reg_words w in
+          let bad what f =
+            match f () with
+            | () -> Alcotest.failf "%s w=%d: %s accepted" tag w what
+            | exception Invalid_argument _ -> ()
+          in
+          bad "short read" (fun () -> Hw.Sim.read_words n (Array.make (k - 1) 0) 0);
+          bad "short write" (fun () -> Hw.Sim.write_words x (Array.make (k + 1) 0) 2);
+          bad "negative read" (fun () -> Hw.Sim.read_words n (Array.make k 0) (-1));
+          bad "negative write" (fun () -> Hw.Sim.write_words x (Array.make k 0) (-1));
+          let nm = Printf.sprintf "n%d" w in
+          Alcotest.check_raises (tag ^ " write_words to a non-input")
+            (Invalid_argument (Printf.sprintf "Sim.write: %s is not a primary input" nm))
+            (fun () -> Hw.Sim.write_words n (Array.make k 0) 0))
+        ports)
+    all_backends
+
+(* The stepped and the free-running JIT kernel of MD5 8T (all threads
+   offering, sink ready) allocate at most 17 minor words per cycle:
+   the two wide concatenations of the state cone, one vector each.
+   Words per cycle is the slope between a short and a long run, so the
+   fixed cost of one call (the free-run's closing settle) drops out. *)
+let test_jit_md5_cycle_words () =
+  let sim =
+    Hw.Sim.create ~backend:Hw.Sim.Jit
+      (Md5.Md5_circuit.circuit ~kind:Melastic.Meb.Reduced ~threads:8 ())
+  in
+  Hw.Sim.poke_int sim "msg_valid" 255;
+  Hw.Sim.poke_int sim "digest_ready" 255;
+  Hw.Sim.cycles sim 200;
+  let per_cycle run =
+    let words n = minor_words_of (fun () -> run n) in
+    (words 3000 -. words 1000) /. 2000.
+  in
+  let stepped = per_cycle (fun n -> for _ = 1 to n do Hw.Sim.cycle sim done) in
+  let freerun = per_cycle (Hw.Sim.cycles sim) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Sim.cycle: %.2f words/cycle <= 17" stepped)
+    true (stepped <= 17.);
+  Alcotest.(check bool)
+    (Printf.sprintf "Sim.cycles: %.2f words/cycle <= 17" freerun)
+    true (freerun <= 17.)
+
 let suite =
   ( "sim-backends",
     [ Alcotest.test_case "random circuits lockstep" `Quick test_random_circuits;
@@ -928,6 +1133,12 @@ let suite =
       Alcotest.test_case "jit genuine fallback lockstep" `Quick
         test_jit_genuine_fallback;
       Alcotest.test_case "md5 workload (jit)" `Quick test_md5_on_jit;
+      Alcotest.test_case "jit wide limb literals lockstep" `Quick
+        test_jit_wide_limb_lockstep;
+      Alcotest.test_case "word ports agree with read/write" `Quick
+        test_word_ports;
+      Alcotest.test_case "jit md5 8T words per cycle" `Quick
+        test_jit_md5_cycle_words;
       Alcotest.test_case "jit batched cycles vs stepping" `Quick
         test_jit_cycles_batching;
       Alcotest.test_case "jit cache rebuilds corrupt entries" `Quick
