@@ -1,66 +1,50 @@
-(** Host-side drivers for the MD5 circuit, over one word path.
+(** Host-side driver for the MD5 circuit, over one word path.
 
-    {!ports} resolves the circuit's [msg]/[digest] channel signals
+    A driver resolves the circuit's [msg]/[digest] channel signals
     once; the 640-bit token and the 128-bit digest then move as words
     through {!Hw.Sim.write_words}/{!Hw.Sim.read_words}, never as
     [Bits.t].  Token layout (the 32-bit limbs of
     {!Md5_circuit.input_bits}): chaining words a..d in words 0..3, block
     word [w] in word [4 + w].  Digest layout: words a..d.
-    [Serve.Md5_backend] drives its replicas through the same record.
 
-    {!hash_messages} hashes arbitrary-length messages via digest
-    chaining.  The barrier synchronizes all threads each episode, so
-    it proceeds in aligned rounds of max-block-count batches; threads
-    with shorter messages contribute dummy blocks whose digests are
-    discarded. *)
+    {!step} is the one per-cycle inject/harvest loop.  {!hash_messages}
+    drives it in aligned rounds (the barrier synchronizes all threads
+    each episode, so threads with shorter messages contribute dummy
+    blocks whose digests are discarded); [Serve.Md5_backend] drives it
+    with continuous batching. *)
 
-val msg_words : int
-(** Words of one [msg] token (20). *)
+type t
+(** A driver: the resolved ports, a staging buffer, and per thread a
+    message and a 4-word chaining value. *)
 
-val digest_words : int
-(** Words of one digest, and of one chaining value (4). *)
+val create : Hw.Sim.t -> threads:int -> t
+(** [create sim ~threads] drives a simulator of
+    [Md5_circuit.circuit ~threads].  Raises the digest ready of every
+    thread; every chaining value starts at {!Md5_ref.iv}. *)
 
-val set_iv : int array -> int -> unit
-(** [set_iv buf off] writes the standard chaining value
-    {!Md5_ref.iv} to [buf.(off) .. buf.(off + 3)]. *)
+val load : t -> int -> string -> unit
+(** [load d i msg]: thread [i]'s real blocks come from [msg]'s padded
+    form from now on, and its chaining value is reset to
+    {!Md5_ref.iv}. *)
 
-type ports = {
-  msg_valid : Hw.Sim.port;
-  msg_data : Hw.Sim.port;
-  msg_ready : Hw.Sim.port;
-  digest_ready : Hw.Sim.port;
-  digest_fire : Hw.Sim.port;
-  digest_data : Hw.Sim.port;
-  round_counter : Hw.Sim.port;
-  stage : int array;  (** the {!msg_words}-word staging buffer *)
-  ready_reads_inputs : bool;
-      (** a primary input is in the combinational cone of [msg]'s ready *)
-}
+val step : t -> eligible:(int -> bool) -> inject:(int -> int) -> int
+(** One clock cycle.  Reads the [msg] ready vector (a function of
+    registered state only, so as the last cycle left it) and picks,
+    round-robin, the first thread whose ready is high and for which
+    [eligible] holds.  [inject i] is called once for that thread and
+    returns the index of the block of [i]'s message to send, or [-1]
+    for a dummy token.  The token is written (or every valid cleared
+    when no thread was picked), the circuit settles, and for each
+    thread whose digest fires with a real block its chaining value
+    takes the digest.  The circuit is clocked and the fire mask
+    returned.  Allocates nothing beyond what [eligible] and [inject]
+    allocate. *)
 
-val ports : Hw.Sim.t -> ports
-(** Resolve the ports of a simulator of {!Md5_circuit.circuit}. *)
+val hex : t -> int -> string
+(** [hex d i] renders thread [i]'s chaining value as lowercase hex. *)
 
-val source_ready : ports -> Hw.Sim.t -> int
-(** The [msg] ready vector with every valid cleared, the first read of
-    a driver's cycle.  The ready is a function of registered state, so
-    it is read as the last settle left it; only when
-    [ready_reads_inputs] are the valids cleared and the circuit settled
-    first.  The caller then writes [msg]'s valid for this cycle (0 when
-    it injects nothing). *)
-
-val send_block : ports -> chain:int array -> chain_off:int -> string -> int -> unit
-(** [send_block p ~chain ~chain_off msg k] stages the chaining value
-    [chain.(chain_off) .. chain.(chain_off + 3)] and block [k] of
-    [msg]'s padded form ({!Md5_ref.fill_block}), and writes the token to
-    the [msg] data port.  Allocates nothing. *)
-
-val send_dummy : ports -> unit
-(** Write the dummy token (standard IV, all-zero block) to the [msg]
-    data port. *)
-
-val read_digest : ports -> int array -> int -> unit
-(** [read_digest p buf off] stores the [digest] data port's words a..d
-    at [buf.(off) ..]. *)
+val round_counter : t -> int
+(** The circuit's shared round counter. *)
 
 val hash_messages : ?limit:int -> Hw.Sim.t -> string list -> string list
 (** [hash_messages sim messages] — thread [i] hashes [List.nth

@@ -13,18 +13,19 @@
    occupancy measures how much of the datapath's S-way time-sharing
    the offered load actually uses.
 
-   Wide values move as words through [Md5.Md5_host.ports]: a slot's
-   chaining value is 4 ints, an injection stages chain and block words
-   in a 20-word buffer for [Hw.Sim.write_words], a fired digest is read
-   with [Hw.Sim.read_words], and hex is rendered once per job. *)
+   The per-cycle inject/harvest loop is [Md5.Md5_host.step]; this
+   backend supplies only the policy above.  Wide values move as words:
+   a slot's message and 4-word chaining value live in the driver, an
+   injection stages chain and block words in a 20-word buffer for
+   [Hw.Sim.write_words], a fired digest is read with
+   [Hw.Sim.read_words], and hex is rendered once per job. *)
 
 let monitored_probes = [ "msg"; "digest"; "md5_dp"; "md5_bar_in"; "md5_barrier" ]
 
-(* A job keeps its message and the index of its next block; the padded
-   blocks are never materialized.  The slot's 4-word chaining value
-   lives in the replica's [chains] array. *)
+(* A job keeps the index of its next block; the padded blocks are
+   never materialized.  The slot's message and 4-word chaining value
+   live in the [Md5.Md5_host] driver. *)
 type busy = {
-  msg : string;
   blocks : int;  (* padded block count *)
   mutable block : int;  (* the block in the loop, or the next to inject *)
   mutable injected : bool;  (* block [block] is in the loop right now *)
@@ -71,16 +72,8 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
   let window = ref 0 in
   let last_ctr = ref 0 in
   let inj_window = Array.make slots (-1) in
-  let inject_ptr = ref 0 in
   let completions = ref [] in
-  (* Every signal the per-cycle step touches, resolved once; wide
-     values move as words (chaining values, the staged token, the
-     digest), so a cycle builds no [Bits.t] on the host side. *)
-  let p = Md5.Md5_host.ports sim in
-  let dw = Md5.Md5_host.digest_words in
-  let chains = Array.make (dw * slots) 0 in
-  let digest = Array.make dw 0 in
-  Hw.Sim.write_int p.digest_ready ((1 lsl slots) - 1);
+  let drv = Md5.Md5_host.create sim ~threads:slots in
   let real_pending i =
     match slot.(i) with
     | Busy b -> (not b.cancelled) && not b.injected
@@ -98,35 +91,20 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     done;
     !found
   in
+  let eligible i = real_pending i || fresh_elsewhere i in
+  (* The slot's real next block when it has one, else a dummy. *)
+  let inject i =
+    hw_busy.(i) <- true;
+    inj_window.(i) <- !window;
+    match slot.(i) with
+    | Busy b when (not b.cancelled) && not b.injected ->
+      b.injected <- true;
+      b.block
+    | _ -> -1
+  in
   let step () =
-    (* Observe which threads could enter. *)
-    let ready = Md5.Md5_host.source_ready p sim in
-    (* Round-robin: one injection per cycle at most. *)
-    let chosen = ref (-1) in
-    for k = 0 to slots - 1 do
-      let i = (!inject_ptr + k) mod slots in
-      if !chosen < 0 && ready land (1 lsl i) <> 0
-         && (real_pending i || fresh_elsewhere i)
-      then chosen := i
-    done;
-    if !chosen >= 0 then begin
-      let i = !chosen in
-      (match slot.(i) with
-       | Busy b when (not b.cancelled) && not b.injected ->
-         b.injected <- true;
-         Md5.Md5_host.send_block p ~chain:chains ~chain_off:(dw * i) b.msg
-           b.block
-       | _ -> Md5.Md5_host.send_dummy p);
-      Hw.Sim.write_int p.msg_valid (1 lsl i);
-      hw_busy.(i) <- true;
-      inj_window.(i) <- !window;
-      inject_ptr := (i + 1) mod slots
-    end
-    else Hw.Sim.write_int p.msg_valid 0;
-    Hw.Sim.settle sim;
-    let fire = Hw.Sim.read_int p.digest_fire in
-    if fire <> 0 then begin
-      Md5.Md5_host.read_digest p digest 0;
+    let fire = Md5.Md5_host.step drv ~eligible ~inject in
+    if fire <> 0 then
       for i = 0 to slots - 1 do
         if fire land (1 lsl i) <> 0 then begin
           hw_busy.(i) <- false;
@@ -134,22 +112,18 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
           | Busy b when b.injected ->
             if b.cancelled then slot.(i) <- Free
             else begin
-              Array.blit digest 0 chains (dw * i) dw;
               b.block <- b.block + 1;
               b.injected <- false;
               if b.block = b.blocks then begin
                 (* Hex is rendered once per job, on completion. *)
-                completions :=
-                  (i, Md5.Md5_ref.hex_of_words chains (dw * i)) :: !completions;
+                completions := (i, Md5.Md5_host.hex drv i) :: !completions;
                 slot.(i) <- Free
               end
             end
           | _ -> () (* a dummy block's digest: discard *)
         end
-      done
-    end;
-    Hw.Sim.cycle sim;
-    let c = Hw.Sim.read_int p.round_counter in
+      done;
+    let c = Md5.Md5_host.round_counter drv in
     if !last_ctr <> 0 && c = 0 then incr window;
     last_ctr := c
   in
@@ -160,11 +134,10 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
         (match slot.(i) with
          | Free -> ()
          | Busy _ -> invalid_arg "Md5_backend.start: slot not free");
-        Md5.Md5_host.set_iv chains (dw * i);
+        Md5.Md5_host.load drv i msg;
         slot.(i) <-
           Busy
-            { msg;
-              blocks = Md5.Md5_ref.block_count (String.length msg);
+            { blocks = Md5.Md5_ref.block_count (String.length msg);
               block = 0;
               injected = false;
               cancelled = false });

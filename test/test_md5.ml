@@ -215,6 +215,39 @@ let test_multiblock_very_long () =
     (fun msg got -> Alcotest.(check string) "long message" (Md5.Md5_ref.digest msg) got)
     msgs digests
 
+(* The drivers read [msg]'s ready before writing a cycle's inputs, so
+   it must be a function of registered state: writing every input and
+   settling leaves it as the last cycle left it. *)
+let test_ready_reads_no_input kind () =
+  let module N = Melastic.Names in
+  let threads = 4 in
+  let sim = Hw.Sim.create (Md5.Md5_circuit.circuit ~kind ~threads ()) in
+  let valid = Hw.Sim.input_port sim (N.valid "msg")
+  and data = Hw.Sim.input_port sim (N.data "msg")
+  and digest_ready = Hw.Sim.input_port sim (N.ready "digest")
+  and ready = Hw.Sim.signal_port sim (N.ready "msg") in
+  let rng = Random.State.make [| 7 |] in
+  let words = Array.make 20 0 in
+  let injected = ref 0 in
+  for cyc = 0 to 400 do
+    let before = Hw.Sim.read_int ready in
+    Array.iteri (fun j _ -> words.(j) <- Random.State.bits rng) words;
+    Hw.Sim.write_words data words 0;
+    Hw.Sim.write_int digest_ready (Random.State.int rng (1 lsl threads));
+    let i = Random.State.int rng threads in
+    if before land (1 lsl i) <> 0 then begin
+      Hw.Sim.write_int valid (1 lsl i);
+      incr injected
+    end
+    else Hw.Sim.write_int valid 0;
+    Hw.Sim.settle sim;
+    Alcotest.(check int)
+      (Printf.sprintf "msg ready at cycle %d" cyc)
+      before (Hw.Sim.read_int ready);
+    Hw.Sim.cycle sim
+  done;
+  Alcotest.(check bool) "tokens entered" true (!injected > 0)
+
 let kind_cases name f =
   List.map
     (fun kind ->
@@ -239,4 +272,5 @@ let suite =
         prop_circuit_matches_reference;
         prop_fill_block_matches_padded_blocks;
         Alcotest.test_case "fill_block errors" `Quick test_fill_block_errors;
-        prop_hex_of_words ] )
+        prop_hex_of_words ]
+    @ kind_cases "msg ready reads no input" test_ready_reads_no_input )
