@@ -265,15 +265,6 @@ let fleet_cmd =
   let run backend kind preset trace_file hosts slots scale seed kq_segments
       kq_k no_dedup no_steal monitor =
     set_backend backend;
-    let trace =
-      match trace_file with
-      | Some path -> Fleet.Trace.of_file path
-      | None ->
-        let name = Option.value preset ~default:"steady" in
-        Fleet.Trace.generate ~seed
-          ~phases:(Fleet.Trace.preset ~scale name)
-          ()
-    in
     let config =
       { Fleet.Frontend.default_config with
         n_hosts = hosts;
@@ -283,17 +274,32 @@ let fleet_cmd =
         dedup = not no_dedup;
         stealing = not no_steal }
     in
-    let t =
-      Fleet.Frontend.create ~config
-        ~make_host:(Serve.Md5_backend.make ~kind ~monitor ~slots ())
-        ~key:Fun.id ()
+    let serve trace =
+      let t =
+        Fleet.Frontend.create ~config
+          ~make_host:(Serve.Md5_backend.make ~kind ~monitor ~slots ())
+          ~key:Fun.id ()
+      in
+      Fleet.Frontend.submit_trace t trace;
+      let s = Fleet.Frontend.run t in
+      print_string (Fleet.Frontend.summary s);
+      if Fleet.Frontend.violations s > 0 then
+        `Error (false, "fleet violations (kqueue relaxation or protocol monitors)")
+      else `Ok ()
     in
-    Fleet.Frontend.submit_trace t trace;
-    let s = Fleet.Frontend.run t in
-    print_string (Fleet.Frontend.summary s);
-    if Fleet.Frontend.violations s > 0 then
-      `Error (false, "fleet violations (kqueue relaxation or protocol monitors)")
-    else `Ok ()
+    match trace_file with
+    | None ->
+      let name = Option.value preset ~default:"steady" in
+      serve (Fleet.Trace.generate ~seed ~phases:(Fleet.Trace.preset ~scale name) ())
+    | Some path ->
+      (* A malformed line or a class the fleet lacks is a one-line
+         error naming path:line, not an escaped exception. *)
+      (match
+         Fleet.Trace.of_file ~classes:(List.length config.Fleet.Frontend.classes)
+           path
+       with
+       | trace -> serve trace
+       | exception Failure msg -> `Error (false, msg))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -374,14 +374,36 @@ let split_lsb ~part_width t =
   List.init (t.width / part_width) (fun i ->
       select t ~hi:(((i + 1) * part_width) - 1) ~lo:(i * part_width))
 
+(* Schoolbook multiply over the 32-bit limbs, into one result array.
+   A limb product needs 64 bits, more than an OCaml int holds, so it is
+   built from four 16-bit half products: [lo] and [hi] land at bit 0
+   and bit 32 of the limb pair, the two cross terms (summed, < 2^33) at
+   bit 16.  The running carry stays below 2^32: a row step adds at most
+   (2^32-1) + (2^32-1)^2 + (2^32-1) < 2^64 to the pair.  The full
+   product fits in [width a + width b] bits, so a carry out of the last
+   row lands in a limb that exists or is zero, and the top limb comes
+   out normalized. *)
 let mul a b =
   let w = a.width + b.width in
-  let acc = ref (zero w) in
-  let a' = uresize a w in
-  for i = 0 to b.width - 1 do
-    if bit b i then acc := add !acc (shift_left a' i)
+  let r = Array.make (limbs_for w) 0 in
+  let nr = Array.length r and nb = Array.length b.limbs in
+  for i = 0 to Array.length a.limbs - 1 do
+    let ai = a.limbs.(i) in
+    if ai <> 0 then begin
+      let al = ai land 0xffff and ah = ai lsr 16 in
+      let carry = ref 0 in
+      for j = 0 to nb - 1 do
+        let bj = b.limbs.(j) in
+        let bl = bj land 0xffff and bh = bj lsr 16 in
+        let mid = (al * bh) + (ah * bl) in
+        let t = r.(i + j) + (al * bl) + ((mid land 0xffff) lsl 16) + !carry in
+        r.(i + j) <- t land limb_mask;
+        carry := (t lsr limb_bits) + (mid lsr 16) + (ah * bh)
+      done;
+      if i + nb < nr then r.(i + nb) <- !carry
+    end
   done;
-  !acc
+  { width = w; limbs = r }
 
 let mul_trunc a b =
   same_width "mul_trunc" a b;

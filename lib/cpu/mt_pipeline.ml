@@ -380,9 +380,8 @@ let circuit ?probes ?serve config =
 (* ---- Testbench helpers ---- *)
 
 let load_program sim t words =
-  List.iteri
-    (fun i w -> Hw.Sim.mem_write sim t.imem i (Bits.of_int ~width:32 (w land 0xffffffff)))
-    words
+  let imem = Hw.Sim.mem_port sim t.imem in
+  List.iteri (fun i w -> Hw.Sim.mem_set_int imem i (w land 0xffffffff)) words
 
 let run_until_halted sim ~limit =
   let rec go n =
@@ -396,6 +395,6 @@ let run_until_halted sim ~limit =
   go 0
 
 let read_reg sim t ~thread ~reg =
-  Bits.to_int (Hw.Sim.mem_read sim t.regfile ((thread * Isa.num_regs) + reg))
+  Hw.Sim.mem_get_int (Hw.Sim.mem_port sim t.regfile) ((thread * Isa.num_regs) + reg)
 
-let read_dmem sim t addr = Bits.to_int (Hw.Sim.mem_read sim t.dmem addr)
+let read_dmem sim t addr = Hw.Sim.mem_get_int (Hw.Sim.mem_port sim t.dmem) addr

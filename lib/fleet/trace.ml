@@ -195,7 +195,7 @@ let split_fields line =
   in
   go 0 []
 
-let of_file path =
+let of_file ?classes path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
@@ -224,6 +224,13 @@ let of_file path =
                               !lineno))
                  | _ -> 0
                in
+               (match classes with
+                | Some n when cls >= n ->
+                    failwith
+                      (Printf.sprintf "%s:%d: class %d out of range (%d %s)"
+                         path !lineno cls n
+                         (if n = 1 then "class" else "classes"))
+                | _ -> ());
                match int_of_string_opt a with
                | Some arrival when arrival >= 0 ->
                    out := { arrival; payload; cls } :: !out

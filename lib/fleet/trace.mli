@@ -67,11 +67,12 @@ val preset : ?scale:float -> string -> phase list
 
 (** {1 Trace files} *)
 
-val of_file : string -> request array
+val of_file : ?classes:int -> string -> request array
 (** Parse a trace file: one request per line as
     [arrival payload [class]], [#] starts a comment, blank lines
     ignored.  Payloads therefore cannot contain whitespace.  Raises
-    [Failure] with the offending line number on malformed input. *)
+    [Failure "path:line: ..."] on malformed input, and — when
+    [classes] is given — on a class that is not below it. *)
 
 val to_file : string -> request array -> unit
 (** Write a trace in the {!of_file} format (payloads containing

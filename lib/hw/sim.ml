@@ -11,9 +11,9 @@
    [create ?optimize] (default: on for the compiled backend) runs
    [Transform.optimize_with_map] over the circuit and simulates the
    reduced netlist instead.  Handles the caller holds against the
-   ORIGINAL circuit — [peek_signal] nodes, [mem_read]/[mem_write]
-   memory handles (e.g. [Cpu.Mt_pipeline.load_program]'s instruction
-   memory) — are translated through the optimizer's remap, so
+   ORIGINAL circuit — [peek_signal] nodes, [mem_port]/[mem_read]/
+   [mem_write] memory handles (e.g. [Cpu.Mt_pipeline.load_program]'s
+   instruction memory) — are translated through the optimizer's remap, so
    testbenches are oblivious to the rewrite.  Named probes survive
    optimization by construction ([Transform] keeps the live cone of
    every named signal and carries merged names as aliases). *)
@@ -261,8 +261,24 @@ let restore { p = T ((module M), s); regs; _ } snap =
 
 let reset { p = T ((module M), s); _ } = M.reset s
 
-let mem_read ({ p = T ((module M), s); _ } as t) m addr =
-  M.mem_read s (t.map_memory m) addr
+(* A memory port packs the backend's resolved store with its instance,
+   like a signal port.  Handles of the original circuit are translated
+   once, at resolution. *)
+type mem_port =
+  | Mp : (module Sim_intf.S with type t = 'a and type mem_port = 'p) * 'a * 'p
+      -> mem_port
 
-let mem_write ({ p = T ((module M), s); _ } as t) m addr value =
-  M.mem_write s (t.map_memory m) addr value
+let mem_port ({ p = T ((module M), s); _ } as t) m =
+  Mp ((module M), s, M.mem_port s (t.map_memory m))
+
+let mem_get (Mp ((module M), s, p)) addr = M.mem_get s p addr
+let mem_get_int (Mp ((module M), s, p)) addr = M.mem_get_int s p addr
+let mem_set (Mp ((module M), s, p)) addr v = M.mem_set s p addr v
+let mem_set_int (Mp ((module M), s, p)) addr v = M.mem_set_int s p addr v
+
+let mem_fill_int (Mp ((module M), s, p)) ~pos ~len v =
+  M.mem_fill_int s p ~pos ~len v
+
+(* The by-handle API: resolve, then one port operation. *)
+let mem_read t m addr = mem_get (mem_port t m) addr
+let mem_write t m addr value = mem_set (mem_port t m) addr value

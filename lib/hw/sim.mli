@@ -58,9 +58,9 @@ val create : ?backend:backend -> ?optimize:bool -> Circuit.t -> t
     for [Interp])
     runs {!Transform.optimize_with_map} and simulates the reduced
     netlist.  Transparent to callers: named probes survive (as names
-    or aliases), and {!peek_signal} / {!mem_read} / {!mem_write}
-    handles held against the original circuit are translated through
-    the optimizer's remap.  Peeking a signal that was swept as dead
+    or aliases), and {!peek_signal} / {!mem_port} / {!mem_read} /
+    {!mem_write} handles held against the original circuit are
+    translated through the optimizer's remap.  Peeking a signal that was swept as dead
     raises [Invalid_argument]; keep it by naming it, or pass
     [~optimize:false]. *)
 
@@ -212,7 +212,52 @@ val reset : t -> unit
     primary inputs to zero — a reset simulator matches a freshly
     created one. *)
 
+(** {1 Memories}
+
+    Testbench access to a memory's contents, through a memory resolved
+    once: no hashing per access, and on a memory of width <=
+    [Bits.max_int_width] {!mem_get_int}/{!mem_set_int} allocate
+    nothing.  The per-job path for drivers that load programs and
+    harvest results (the CPU's instruction, data and register
+    memories). *)
+
+type mem_port
+(** A resolved memory of one simulator.  Valid for the simulator's
+    lifetime, across {!reset}; under [create ~optimize:true] it
+    resolves a handle of the original circuit through the optimizer's
+    remap, as {!peek_signal} does. *)
+
+val mem_port : t -> Signal.memory -> mem_port
+(** Raises [Invalid_argument] for a memory that is not part of this
+    simulation. *)
+
+val mem_get : mem_port -> int -> Bits.t
+(** Word [addr].  Raises [Invalid_argument] when [addr] is outside
+    the memory. *)
+
+val mem_get_int : mem_port -> int -> int
+(** {!mem_get} as an int.  Also raises [Invalid_argument] on a memory
+    wider than [Bits.max_int_width]. *)
+
+val mem_set : mem_port -> int -> Bits.t -> unit
+(** Overwrite word [addr].  Asynchronous reads see it at the next
+    {!settle}/{!cycle}, which recomputes the state cone.  Raises
+    [Invalid_argument] on an address out of range or a width
+    mismatch. *)
+
+val mem_set_int : mem_port -> int -> int -> unit
+(** {!mem_set} of a non-negative int, truncated to the memory width.
+    Raises [Invalid_argument] like {!mem_set}, on a negative value and
+    on a memory wider than [Bits.max_int_width]. *)
+
+val mem_fill_int : mem_port -> pos:int -> len:int -> int -> unit
+(** [mem_fill_int p ~pos ~len v] sets words [pos] .. [pos + len - 1]
+    to [v] in one store loop (a job's data region cleared at once).
+    Raises like {!mem_set_int}, also when any address of the range is
+    out of range or [len < 0]. *)
+
 val mem_read : t -> Signal.memory -> int -> Bits.t
-(** Direct testbench access to a memory's contents. *)
+(** [mem_get (mem_port t m) addr]. *)
 
 val mem_write : t -> Signal.memory -> int -> Bits.t -> unit
+(** [mem_set (mem_port t m) addr value]. *)

@@ -23,7 +23,8 @@
    primary inputs, [steps_state] the cone of registers and memory
    reads (the two overlap; each is kept in topological order).  A
    dirty flag tracks pokes (an input write that changes a stored value
-   sets it; a settle clears it), a second one testbench memory writes:
+   sets it; a settle clears it), a second one memory-port writes and
+   register loads:
 
    - [settle] is a no-op when nothing was poked, and otherwise runs
      only the input cone;
@@ -113,17 +114,17 @@ type t = {
   state_regs : Signal.t array; (* Circuit.registers order, for save/load_state *)
   state_words : int;
   mutable dirty : bool; (* an input changed since the last settle *)
-  mutable mstale : bool; (* a memory was written from the testbench *)
+  mutable mstale : bool; (* a memory port wrote, or a state load ran *)
   mutable cycle_no : int;
   mutable observers : (t -> unit) array; (* registration order *)
   mutable commit_jit : ((unit -> unit) -> unit) option;
   (* Sim_jit's generated commit: samples the clear-less registers into
-     locals, calls its argument (the slow middle below), then writes.
-     Replaces the index-array loops of [commit] when set. *)
-  mutable commit_mid : unit -> unit;
-  (* the phases between sample and write: cleared registers' sample
-     and the memory write ports, both of which must read pre-commit
-     slot values *)
+     locals, runs the memory write ports and calls its argument (the
+     cleared registers' sample below), then writes.  Replaces the
+     index-array loops and the port closures of [commit] when set. *)
+  commit_mid : unit -> unit;
+  (* the cleared registers' sample: between sample and write, because
+     it reads pre-commit slot values *)
   mutable run_jit : (int -> unit) option;
   (* Sim_jit's batched free-run: n x {commit; state settle} as one
      native loop.  [cycles] engages it when no observer is registered. *)
@@ -574,10 +575,7 @@ let create circuit =
       dirty = false; mstale = false; cycle_no = 0; observers = [||];
       commit_jit = None;
       run_jit = None;
-      commit_mid =
-        (fun () ->
-          Array.iter (fun r -> r.sample ()) reg_steps;
-          Array.iter (fun f -> f ()) mem_commits) }
+      commit_mid = (fun () -> Array.iter (fun r -> r.sample ()) reg_steps) }
   in
   (* A fresh simulator is fully settled (same state as after [reset]). *)
   Array.iter (fun f -> f ()) t.steps;
@@ -588,7 +586,7 @@ let run_steps (steps : (unit -> unit) array) =
     (Array.unsafe_get steps i) ()
   done
 
-(* Pokes invalidate the input cone; testbench memory writes invalidate
+(* Pokes invalidate the input cone; memory-port writes invalidate
    the state cone (async read fan-out).  [cycle] re-settles the state
    cone after every commit, so with neither flag set every slot is
    already consistent and settling is a no-op. *)
@@ -642,11 +640,11 @@ let commit_generic t =
 let commit t =
   match t.commit_jit with
   | Some f ->
-    (* Generated commit: straight-line samples into locals, the slow
-       middle (cleared registers' sample + memory ports) via the
-       argument, straight-line writes.  Cleared registers still latch
-       host-side, after the generated writes (write order among
-       registers is immaterial — every sample already happened). *)
+    (* Generated commit: straight-line samples into locals, the memory
+       write ports, the cleared registers' sample via the argument,
+       straight-line writes.  Cleared registers still latch host-side,
+       after the generated writes (write order among registers is
+       immaterial — every sample already happened). *)
     f t.commit_mid;
     Array.iter (fun r -> r.write ()) t.reg_steps
   | None -> commit_generic t
@@ -787,7 +785,7 @@ let peek_signal t (s : Signal.t) =
    (NOT the fast/slow commit partition).  Register outputs hold the
    latched state directly in their uid slot, so a save is a plain slot
    read and a load a plain slot write; loading invalidates the state
-   cone exactly like a testbench memory write. *)
+   cone exactly like a memory-port write. *)
 let state_words t = t.state_words
 
 let save_state t buf off =
@@ -845,24 +843,66 @@ let reset t =
   t.dirty <- false;
   t.mstale <- false
 
-let find_store t (m : Signal.memory) fname addr =
-  if addr < 0 || addr >= m.Signal.size then
-    invalid_arg (Printf.sprintf "Sim.%s: out of range" fname);
-  Hashtbl.find t.mem_state m.Signal.mem_uid
+(* A memory port is the memory's live store (kept in place by commits
+   and [reset]).  A write invalidates the state cone (async read
+   fan-out), exactly like a register load. *)
+type mem_port = {
+  mname : string;
+  msize : int;
+  mwidth : int;
+  mmask : int; (* [mask mwidth], for the int writes of a narrow memory *)
+  store : mem_store;
+}
 
-let mem_read t (m : Signal.memory) addr =
-  match find_store t m "mem_read" addr with
-  | Imem { arr; _ } -> Bits.of_int ~width:m.Signal.mem_width arr.(addr)
+let mem_port t (m : Signal.memory) =
+  match Hashtbl.find_opt t.mem_state m.Signal.mem_uid with
+  | Some store ->
+    { mname = m.Signal.mem_name; msize = m.Signal.size;
+      mwidth = m.Signal.mem_width; mmask = mask m.Signal.mem_width;
+      store }
+  | None -> Sim_intf.foreign_memory m
+
+let check_addr ~op p addr = Sim_intf.check_mem_addr ~op p.mname ~size:p.msize addr
+
+let mem_get _t p addr =
+  check_addr ~op:"mem_get" p addr;
+  match p.store with
+  | Imem { arr; _ } -> Bits.of_int ~width:p.mwidth arr.(addr)
   | Bmem { arr; _ } -> arr.(addr)
 
-let mem_write t (m : Signal.memory) addr value =
-  if Bits.width value <> m.Signal.mem_width then invalid_arg "Sim.mem_write: width";
-  (match find_store t m "mem_write" addr with
+let mem_get_int _t p addr =
+  match p.store with
+  | Imem { arr; _ } ->
+    check_addr ~op:"mem_get_int" p addr;
+    arr.(addr)
+  | Bmem _ -> Sim_intf.mem_not_narrow ~op:"mem_get_int" p.mname ~width:p.mwidth
+
+let mem_set t p addr value =
+  check_addr ~op:"mem_set" p addr;
+  if Bits.width value <> p.mwidth then
+    Sim_intf.mem_width_mismatch p.mname ~got:(Bits.width value) ~want:p.mwidth;
+  (match p.store with
    | Imem { arr; _ } -> arr.(addr) <- Bits.to_int_exn value
    | Bmem { arr; _ } -> arr.(addr) <- value);
-  (* Visible to async read cones at the next settle, like the
-     unpartitioned model. *)
   t.mstale <- true
+
+let mem_set_int t p addr v =
+  match p.store with
+  | Imem { arr; _ } ->
+    check_addr ~op:"mem_set_int" p addr;
+    if v < 0 then Sim_intf.mem_negative p.mname v;
+    arr.(addr) <- v land p.mmask;
+    t.mstale <- true
+  | Bmem _ -> Sim_intf.mem_not_narrow ~op:"mem_set_int" p.mname ~width:p.mwidth
+
+let mem_fill_int t p ~pos ~len v =
+  match p.store with
+  | Imem { arr; _ } ->
+    Sim_intf.check_mem_range ~op:"mem_fill_int" p.mname ~size:p.msize ~pos ~len;
+    if v < 0 then Sim_intf.mem_negative p.mname v;
+    Array.fill arr pos len (v land p.mmask);
+    t.mstale <- true
+  | Bmem _ -> Sim_intf.mem_not_narrow ~op:"mem_fill_int" p.mname ~width:p.mwidth
 
 (* ---- hooks for the native-JIT backend (Sim_jit) ----
 

@@ -74,12 +74,13 @@ module Jit_support : sig
       settled on entry), leaving every slot settled on exit. *)
 
   val set_commit : t -> ((unit -> unit) -> unit) -> unit
-  (** Replace the clear-less registers' commit loops with a generated
-      function.  It must sample every {!int_reg_commits} /
-      {!wide_reg_commits} register (respecting enables), call its
-      argument exactly once between the samples and the writes (it
-      runs the phases that read pre-commit values: cleared registers'
-      sample and the memory write ports), then write the sampled
-      values to the state slots.  Cleared registers' writes stay
+  (** Replace the clear-less registers' commit loops and the memory
+      write ports with a generated function.  It must sample every
+      {!int_reg_commits} / {!wide_reg_commits} register (respecting
+      enables), apply every memory write port (creation order, last
+      one wins, reading pre-commit values), call its argument — the
+      cleared registers' sample — between the samples and the writes
+      whenever a register has a clear, then write the sampled values
+      to the state slots.  Cleared registers' writes stay
       host-side. *)
 end

@@ -7,8 +7,8 @@
    state.  Out-of-range memory reads return zero; out-of-range writes
    are dropped.
 
-   A dirty flag (set by an input write that changes a value or by
-   [mem_write], cleared by a settle) makes
+   A dirty flag (set by an input write that changes a value or by a
+   memory-port write, cleared by a settle) makes
    the redundant leading settle in [cycle] free when nothing was poked
    since the previous cycle's trailing settle: back-to-back [cycles]
    pay one settle per cycle instead of two.  A fresh simulator is
@@ -263,9 +263,12 @@ let reset t =
       | Signal.Reg r -> t.reg_state.(s.Signal.uid) <- r.Signal.init
       | _ -> ())
     t.regs;
+  (* In place: memory ports hold the contents arrays. *)
   List.iter
     (fun (m : Signal.memory) ->
-      Hashtbl.replace t.mem_state m.Signal.mem_uid (mem_initial m))
+      let init = mem_initial m in
+      Array.blit init 0 (Hashtbl.find t.mem_state m.Signal.mem_uid) 0
+        (Array.length init))
     t.circuit.Circuit.memories;
   (* Inputs return to zero too: a reset simulator must be
      indistinguishable from a freshly created one, not retain stale
@@ -278,15 +281,49 @@ let reset t =
   settle_always t;
   t.dirty <- false
 
-(* Direct memory access for testbenches (load programs, inspect data). *)
-let mem_read t (m : Signal.memory) addr =
-  let contents = Hashtbl.find t.mem_state m.Signal.mem_uid in
-  if addr < 0 || addr >= m.Signal.size then invalid_arg "Sim.mem_read: out of range";
-  contents.(addr)
+(* Memory ports hold the contents array itself (kept in place by
+   [reset]).  A write dirties the circuit: async read cones see it at
+   the next settle. *)
+type mem_port = { mname : string; msize : int; mwidth : int; contents : Bits.t array }
 
-let mem_write t (m : Signal.memory) addr value =
-  let contents = Hashtbl.find t.mem_state m.Signal.mem_uid in
-  if addr < 0 || addr >= m.Signal.size then invalid_arg "Sim.mem_write: out of range";
-  if Bits.width value <> m.Signal.mem_width then invalid_arg "Sim.mem_write: width";
-  contents.(addr) <- value;
+let mem_port t (m : Signal.memory) =
+  match Hashtbl.find_opt t.mem_state m.Signal.mem_uid with
+  | Some contents ->
+    { mname = m.Signal.mem_name; msize = m.Signal.size;
+      mwidth = m.Signal.mem_width; contents }
+  | None -> Sim_intf.foreign_memory m
+
+let check_addr ~op p addr = Sim_intf.check_mem_addr ~op p.mname ~size:p.msize addr
+
+let mem_get _t p addr =
+  check_addr ~op:"mem_get" p addr;
+  p.contents.(addr)
+
+let mem_get_int _t p addr =
+  if p.mwidth > Bits.max_int_width then
+    Sim_intf.mem_not_narrow ~op:"mem_get_int" p.mname ~width:p.mwidth;
+  check_addr ~op:"mem_get_int" p addr;
+  Bits.to_int p.contents.(addr)
+
+let mem_set t p addr value =
+  check_addr ~op:"mem_set" p addr;
+  if Bits.width value <> p.mwidth then
+    Sim_intf.mem_width_mismatch p.mname ~got:(Bits.width value) ~want:p.mwidth;
+  p.contents.(addr) <- value;
+  t.dirty <- true
+
+let mem_set_int t p addr v =
+  if p.mwidth > Bits.max_int_width then
+    Sim_intf.mem_not_narrow ~op:"mem_set_int" p.mname ~width:p.mwidth;
+  check_addr ~op:"mem_set_int" p addr;
+  if v < 0 then Sim_intf.mem_negative p.mname v;
+  p.contents.(addr) <- Bits.of_int ~width:p.mwidth v;
+  t.dirty <- true
+
+let mem_fill_int t p ~pos ~len v =
+  if p.mwidth > Bits.max_int_width then
+    Sim_intf.mem_not_narrow ~op:"mem_fill_int" p.mname ~width:p.mwidth;
+  Sim_intf.check_mem_range ~op:"mem_fill_int" p.mname ~size:p.msize ~pos ~len;
+  if v < 0 then Sim_intf.mem_negative p.mname v;
+  Array.fill p.contents pos len (Bits.of_int ~width:p.mwidth v);
   t.dirty <- true

@@ -151,6 +151,36 @@ let check_port_slice ~op ~name ~width buf off =
       (Printf.sprintf "Sim.%s %s: %d words do not fit at offset %d of %d" op
          name words off (Array.length buf))
 
+(* Shared errors of the memory ports. *)
+let foreign_memory (m : Signal.memory) =
+  invalid_arg
+    (Printf.sprintf "Sim.mem_port: memory %s is not part of this simulation"
+       m.Signal.mem_name)
+
+let check_mem_addr ~op name ~size addr =
+  if addr < 0 || addr >= size then
+    invalid_arg
+      (Printf.sprintf "Sim.%s %s: address %d out of range (size %d)" op name
+         addr size)
+
+let mem_width_mismatch name ~got ~want =
+  invalid_arg
+    (Printf.sprintf "Sim.mem_set %s: width mismatch (%d vs %d)" name got want)
+
+let mem_not_narrow ~op name ~width =
+  invalid_arg
+    (Printf.sprintf "Sim.%s %s: a %d-bit memory has no int access (width > %d)"
+       op name width Bits.max_int_width)
+
+let check_mem_range ~op name ~size ~pos ~len =
+  if len < 0 || pos < 0 || pos + len > size then
+    invalid_arg
+      (Printf.sprintf "Sim.%s %s: range %d+%d out of range (size %d)" op name pos
+         len size)
+
+let mem_negative name v =
+  invalid_arg (Printf.sprintf "Sim.mem_set_int %s: negative value %d" name v)
+
 let () =
   Printexc.register_printer (function
     | Unknown_signal { backend; op; name; candidates } ->
@@ -266,8 +296,38 @@ module type S = sig
       primary inputs to zero, so a reset simulator is indistinguishable
       from a freshly created one. *)
 
-  val mem_read : t -> Signal.memory -> int -> Bits.t
-  (** Direct testbench access to a memory's contents. *)
+  type mem_port
+  (** A memory resolved once: reads and writes through it do no
+      hashing, and on a memory of width <= [Bits.max_int_width]
+      {!mem_get_int}/{!mem_set_int} allocate nothing.  Valid for the
+      lifetime of the simulator, across {!reset}. *)
 
-  val mem_write : t -> Signal.memory -> int -> Bits.t -> unit
+  val mem_port : t -> Signal.memory -> mem_port
+  (** Resolve one of the simulated circuit's memories.  Raises
+      [Invalid_argument] for a memory that is not part of it. *)
+
+  val mem_get : t -> mem_port -> int -> Bits.t
+  (** Word [addr] of the memory.  Raises [Invalid_argument] when
+      [addr] is outside [0, size). *)
+
+  val mem_get_int : t -> mem_port -> int -> int
+  (** {!mem_get} as an int; raises [Invalid_argument] on a memory wider
+      than [Bits.max_int_width]. *)
+
+  val mem_set : t -> mem_port -> int -> Bits.t -> unit
+  (** Overwrite word [addr].  The state cone (asynchronous reads) is
+      stale until the next {!settle}/{!cycle}, which recomputes it.
+      Raises [Invalid_argument] on an address out of range or a width
+      mismatch. *)
+
+  val mem_set_int : t -> mem_port -> int -> int -> unit
+  (** {!mem_set} of a non-negative int, truncated to the memory width.
+      Raises [Invalid_argument] like {!mem_set}, on a negative value,
+      and on a memory wider than [Bits.max_int_width]. *)
+
+  val mem_fill_int : t -> mem_port -> pos:int -> len:int -> int -> unit
+  (** [mem_fill_int t p ~pos ~len v] is [len] {!mem_set_int}s of [v],
+      at [pos] .. [pos + len - 1], as one store loop.  Raises like
+      {!mem_set_int} when any address of the range (or [len < 0])
+      is out of range. *)
 end

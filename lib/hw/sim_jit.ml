@@ -35,6 +35,16 @@
      datapath pays no closure dispatch either.  The [Sim_compiled] closure table is still
      passed in as a safety net for any shape the emitter does not
      cover.
+   - A narrow select within the low [Sys.int_size] bits of a wide
+     product of two int-path operands is one int expression,
+     [((x * y) lsr lo) land mask] (see [fused_mul]); a product no
+     other node reads is then never computed.  The CPU's ALU keeps
+     the low 32 bits of its 32x32 multiply this way, with no [Bits.t]
+     per cycle, while the netlist — and Table I's one DSP — keeps the
+     [Mul] node.
+   - The stepped commit applies the memory write ports natively, as
+     the batched free-run does; only registers with a clear go back to
+     the host between sample and write.
    - The three activity cones (full, input fan-out, state fan-out) are
      emitted as separate functions, preserving the dirty-flag gating.
 
@@ -60,7 +70,7 @@ let name = "jit"
 
 (* ---- configuration ---- *)
 
-let codegen_version = "jitv7"
+let codegen_version = "jitv8"
 let max_inline_depth = 120
 
 let cache_dir_override : string option ref = ref None
@@ -105,12 +115,12 @@ let reset_cache_counters () = disk_hits := 0; disk_misses := 0
 (* iv slots, bv (wide) slots, narrow- and wide-memory contents
    (circuit memory order, [[||]] in the list the memory is not part
    of), closure table -> (full, input, commit, run, state).
-   The commit samples the clear-less registers into locals, runs its
-   argument — the host-side middle that must read pre-commit slots —
-   then writes.  The run, when the circuit qualifies (no cleared
-   registers), is the batched free-run: n x {commit incl. memory
-   write ports; state-cone settle} as one native loop with no
-   per-cycle dispatch. *)
+   The commit samples the clear-less registers into locals, applies
+   the memory write ports, runs its argument — the cleared registers'
+   sample, host-side — when there is one, then writes.  The run, when
+   the circuit qualifies (no cleared registers), is the batched
+   free-run: n x {commit incl. memory write ports; state-cone settle}
+   as one native loop with no per-cycle dispatch. *)
 type maker =
   int array -> Bits.t array -> int array array -> Bits.t array array ->
   (unit -> unit) array ->
@@ -159,6 +169,8 @@ type emitted =
   | Emux of { sel : int; cases : int array }
   | Econcat of { parts : (int * int) array } (* (uid, width), MSB first *)
   | Eselect of { a : int; lo : int; m : int }
+  | Emulsel of { x : int; y : int; lo : int; m : int }
+      (* select of a wide product of two int operands, see [fused_mul] *)
   | Ememrd of { mi : int; a : int; size : int }
 
 type step_plan =
@@ -182,7 +194,26 @@ type plan = {
 
 let resolve_uid s = (J.resolve s).Signal.uid
 
-(* Comb operands of a node, wire chains chased. *)
+(* Select-of-multiply fusion.  A narrow select of bits [hi..lo], with
+   [hi] below [Sys.int_size], of a wide product of two int-path
+   operands reads only bits OCaml's [*] gets exactly: ints wrap modulo
+   2^Sys.int_size, so the low [Sys.int_size] bits of [x * y] are those
+   of the full product.  Such a select is one int expression over the
+   factors, [((x * y) lsr lo) land mask], and reads the product node
+   not at all.  Returns the product node and its two factors. *)
+let fused_mul (s : Signal.t) =
+  match s.Signal.op with
+  | Signal.Select { hi; arg; _ } when J.is_int s && hi < Sys.int_size ->
+    let a = J.resolve arg in
+    (match a.Signal.op with
+     | Signal.Binop (Signal.Mul, x, y) when not (J.is_int a) ->
+       let x = J.resolve x and y = J.resolve y in
+       if J.is_int x && J.is_int y then Some (a, x, y) else None
+     | _ -> None)
+  | _ -> None
+
+(* Comb operands of a node, wire chains chased (a fused select reads
+   the factors, not the product). *)
 let operands (s : Signal.t) =
   let r = J.resolve in
   match s.Signal.op with
@@ -191,7 +222,8 @@ let operands (s : Signal.t) =
   | Signal.Binop (_, x, y) -> [ r x; r y ]
   | Signal.Mux (sel, cases) -> r sel :: Array.to_list (Array.map r cases)
   | Signal.Concat parts -> List.map r parts
-  | Signal.Select { arg; _ } -> [ r arg ]
+  | Signal.Select { arg; _ } ->
+    (match fused_mul s with Some (_, x, y) -> [ x; y ] | None -> [ r arg ])
   | Signal.Mem_read { addr; _ } -> [ r addr ]
 
 let classify mem_index (s : Signal.t) : emitted option =
@@ -228,7 +260,11 @@ let classify mem_index (s : Signal.t) : emitted option =
                     parts) })
     | Signal.Select { lo; arg; _ } when int_op arg ->
       Some (Eselect { a = resolve_uid arg; lo; m })
-    | Signal.Select _ -> None
+    | Signal.Select { lo; _ } ->
+      Option.map
+        (fun (_, (x : Signal.t), (y : Signal.t)) ->
+          Emulsel { x = x.Signal.uid; y = y.Signal.uid; lo; m })
+        (fused_mul s)
     | Signal.Mem_read { mem; addr }
       when mem.Signal.mem_width <= J.max_int_width && int_op addr ->
       Some
@@ -311,6 +347,18 @@ let build_plan (base : Sim_compiled.t) (circuit : Circuit.t) =
         let u = s.Signal.uid in
         materialized.(u) <- force.(u) || uses.(u) > 1
       | Closure _ -> ())
+    sched;
+  (* A wide product read only by fused selects is never computed: its
+     slot goes unwritten, like a register-allocated node's.  (Closures
+     force their operands and no other emitted node reads a wide
+     value, so [force] and [uses] see every other reader.) *)
+  Array.iter
+    (fun ((s : Signal.t), _) ->
+      match fused_mul s with
+      | Some (m, _, _) ->
+        let u = m.Signal.uid in
+        if not (force.(u) || uses.(u) > 0) then materialized.(u) <- false
+      | None -> ())
     sched;
   (* Depth cap: a chain of thousands of single-use nodes must not
      become one expression; rematerialize where the tree gets deep. *)
@@ -495,6 +543,12 @@ and expr_of plan (e : emitted) =
   | Eselect { a; lo; m } ->
     if lo = 0 then Printf.sprintf "(%s land %s)" (op a) (int_literal m)
     else Printf.sprintf "((%s lsr %d) land %s)" (op a) lo (int_literal m)
+  | Emulsel { x; y; lo; m } ->
+    if lo = 0 then
+      Printf.sprintf "((%s * %s) land %s)" (op x) (op y) (int_literal m)
+    else
+      Printf.sprintf "(((%s * %s) lsr %d) land %s)" (op x) (op y) lo
+        (int_literal m)
   | Ememrd { mi; a; size } ->
     Printf.sprintf "(let a__ = %s in if a__ < %d then jm%d.(a__) else 0)"
       (op a) size mi
@@ -761,9 +815,10 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
             if plan.materialized.(u) then
               add (Printf.sprintf "    iv.(%d) <- %s;\n" u (expr_of plan e))
           | Closure k ->
-            (match wide_stmt_of plan s with
-             | Some stmt -> add (Printf.sprintf "    %s;\n" stmt)
-             | None -> add (Printf.sprintf "    wide.(%d) ();\n" k)))
+            if plan.materialized.(s.Signal.uid) then
+              (match wide_stmt_of plan s with
+               | Some stmt -> add (Printf.sprintf "    %s;\n" stmt)
+               | None -> add (Printf.sprintf "    wide.(%d) ();\n" k)))
       plan.sched;
     add "    ()\n";
     add "  in\n"
@@ -771,14 +826,6 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
   emit_fn "jit_full" (fun _ -> true);
   emit_fn "jit_input" (fun s -> J.is_input_dep base s.Signal.uid);
   emit_fn "jit_state" (fun s -> J.is_state_dep base s.Signal.uid);
-  (* The register commit, straight-line: sample every clear-less
-     register into a local (constant slot indices, enable folded in),
-     run the host middle (cleared registers' sample + memory write
-     ports, which read pre-commit slots), then write the locals back.
-     The locals live across the [mid__ ()] call — they spill to the
-     stack, which is still far cheaper than the host's index-array
-     loops (no per-register index loads, no enable test for the
-     enable-less majority). *)
   let irc = J.int_reg_commits base and wrc = J.wide_reg_commits base in
   let emit_samples ind =
     Array.iteri
@@ -808,17 +855,9 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
       (fun i (q, _, _) -> add (Printf.sprintf "%sbv.(%d) <- w%d;\n" ind q i))
       wrc
   in
-  add "  let jit_commit mid__ =\n";
-  emit_samples "    ";
-  add "    mid__ ();\n";
-  emit_writes "    ";
-  add "    ()\n";
-  add "  in\n";
-  (* Batched free-run: when no register has a clear (none of the real
-     kernels do), the whole cycle — commit including the memory write
-     ports, then the state-cone settle — can loop inside the plugin
-     with no per-cycle dispatch at all.  The host engages it from
-     [cycles] when there are no observers. *)
+  (* Registers with a clear keep their host-side commit: with one, the
+     stepped commit calls the host middle and there is no batched
+     free-run. *)
   let has_cleared =
     List.exists
       (fun (s : Signal.t) ->
@@ -851,6 +890,26 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
           (List.rev m.Signal.write_ports))
       plan.circuit.Circuit.memories
   in
+  (* The register commit, straight-line: sample every clear-less
+     register into a local (constant slot indices, enable folded in),
+     apply the memory write ports natively, run the host middle when
+     some register has a clear (its sample reads pre-commit slots),
+     then write the locals back.  The locals may spill to the stack,
+     which is still far cheaper than the host's index-array loops and
+     port closures (no per-register index loads, no enable test for
+     the enable-less majority, no indirect call per port). *)
+  add "  let jit_commit mid__ =\n";
+  emit_samples "    ";
+  emit_ports buf "    ";
+  if has_cleared then add "    mid__ ();\n";
+  emit_writes "    ";
+  add "    ()\n";
+  add "  in\n";
+  (* Batched free-run: when no register has a clear (none of the real
+     kernels do), the whole cycle — commit including the memory write
+     ports, then the state-cone settle — can loop inside the plugin
+     with no per-cycle dispatch at all.  The host engages it from
+     [cycles] when there are no observers. *)
   (* Locals body of the batched free-run: register values and
      state-cone intermediates are loop-carried OCaml locals — no slot
      traffic on the hot path; the slots are written back and settled
@@ -891,9 +950,10 @@ let generate_module (base : Sim_compiled.t) (plan : plan) ~hash =
                       (Printf.sprintf "        let x%d = %s in\n" s.Signal.uid
                          (expr_of plan e))
                 | Closure _ ->
-                  (match wide_stmt_of plan s with
-                   | Some stmt -> addb (Printf.sprintf "        %s;\n" stmt)
-                   | None -> raise Exit))
+                  if plan.materialized.(s.Signal.uid) then
+                    (match wide_stmt_of plan s with
+                     | Some stmt -> addb (Printf.sprintf "        %s;\n" stmt)
+                     | None -> raise Exit))
             plan.sched
         with
         | () ->
@@ -1186,8 +1246,10 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
             | Emit _ ->
               (e + 1, c, if plan.materialized.(s.Signal.uid) then i else i + 1)
             | Closure _ ->
-              (* Wide steps the native codegen covers count as emitted. *)
-              if wide_stmt_of plan s <> None then (e + 1, c, i)
+              (* Wide steps the native codegen covers count as emitted,
+                 products left to fused selects as inlined. *)
+              if not plan.materialized.(s.Signal.uid) then (e + 1, c, i + 1)
+              else if wide_stmt_of plan s <> None then (e + 1, c, i)
               else (e, c + 1, i))
           (0, 0, 0) plan.sched
     in
@@ -1316,12 +1378,9 @@ let create circuit =
     Option.iter (J.set_run base) run;
     let inlined = Array.make (max 1 circuit.Circuit.max_uid) false in
     Array.iter
-      (fun ((s : Signal.t), p) ->
-        match p with
-        | Emit _ ->
-          if not plan.materialized.(s.Signal.uid) then
-            inlined.(s.Signal.uid) <- true
-        | Closure _ -> ())
+      (fun ((s : Signal.t), _) ->
+        if not plan.materialized.(s.Signal.uid) then
+          inlined.(s.Signal.uid) <- true)
       plan.sched;
     { base; inlined }
 
@@ -1362,5 +1421,14 @@ let state_words t = Sim_compiled.state_words t.base
 let save_state t buf off = Sim_compiled.save_state t.base buf off
 let load_state t buf off = Sim_compiled.load_state t.base buf off
 let reset t = Sim_compiled.reset t.base
-let mem_read t m addr = Sim_compiled.mem_read t.base m addr
-let mem_write t m addr v = Sim_compiled.mem_write t.base m addr v
+(* Memory ports are the compiled backend's live stores, which the
+   kernel aliases ([jm]/[bm]), so a port write is seen by the kernel's
+   reads and its commits alike. *)
+type mem_port = Sim_compiled.mem_port
+
+let mem_port t m = Sim_compiled.mem_port t.base m
+let mem_get t p addr = Sim_compiled.mem_get t.base p addr
+let mem_get_int t p addr = Sim_compiled.mem_get_int t.base p addr
+let mem_set t p addr v = Sim_compiled.mem_set t.base p addr v
+let mem_set_int t p addr v = Sim_compiled.mem_set_int t.base p addr v
+let mem_fill_int t p ~pos ~len v = Sim_compiled.mem_fill_int t.base p ~pos ~len v

@@ -39,9 +39,10 @@ type maker =
     memory is not part of) and its table of kept wide-node closures
     (a safety net — the emitter covers every current shape natively),
     produce the [(full, input, commit, run, state)] functions.  The
-    commit is the clear-less registers' latch as straight-line code:
-    it samples into locals, calls its argument — the host phases that
-    must read pre-commit slots — exactly once, then writes (see
+    commit is the clear-less registers' latch and the memory write
+    ports as straight-line code: it samples into locals, applies the
+    ports, calls its argument — the cleared registers' sample — when
+    a register has a clear, then writes (see
     {!Sim_compiled.Jit_support.set_commit}).  The run, emitted when
     the circuit has no cleared registers, is the batched free-run:
     n x {commit incl. memory write ports; state-cone settle} in one

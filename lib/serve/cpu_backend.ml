@@ -62,6 +62,9 @@ let make_monitored ?(kind = Melastic.Meb.Reduced) ?(monitor = false)
   let restart_pc = Hw.Sim.input_port sim "restart_pc" in
   let halted_vec = Hw.Sim.signal_port sim "halted_vec" in
   let busy_vec = Hw.Sim.signal_port sim "busy_vec" in
+  let imem = Hw.Sim.mem_port sim t.Cpu.Mt_pipeline.imem in
+  let regfile = Hw.Sim.mem_port sim t.Cpu.Mt_pipeline.regfile in
+  let dmem = Hw.Sim.mem_port sim t.Cpu.Mt_pipeline.dmem in
   let step () =
     (* Drop last cycle's pulses before raising this cycle's.  Port
        writes only dirty the circuit on a change, so the idle case
@@ -98,10 +101,10 @@ let make_monitored ?(kind = Melastic.Meb.Reduced) ?(monitor = false)
     for i = 0 to slots - 1 do
       match state.(i) with
       | Running when halted land (1 lsl i) <> 0 ->
+        let base = i * Cpu.Isa.num_regs in
         let regs =
           Array.init Cpu.Isa.num_regs (fun r ->
-              if r = 0 then 0
-              else Cpu.Mt_pipeline.read_reg sim t ~thread:i ~reg:r)
+              if r = 0 then 0 else Hw.Sim.mem_get_int regfile (base + r))
         in
         completions := (i, regs) :: !completions;
         state.(i) <- Free
@@ -119,9 +122,7 @@ let make_monitored ?(kind = Melastic.Meb.Reduced) ?(monitor = false)
         if List.length words > iregion then
           invalid_arg "Cpu_backend.start: program overflows the slot's imem region";
         List.iteri
-          (fun k w ->
-            Hw.Sim.mem_write sim t.Cpu.Mt_pipeline.imem (base + k)
-              (Bits.of_int ~width:32 (w land 0xffffffff)))
+          (fun k w -> Hw.Sim.mem_set_int imem (base + k) (w land 0xffffffff))
           words;
         (* Fresh architectural state: zeroed registers (determinism
            across slot reuse and replica routing), the dmem-base
@@ -133,14 +134,12 @@ let make_monitored ?(kind = Melastic.Meb.Reduced) ?(monitor = false)
             else 0
           in
           let v = match List.assoc_opt r job.args with Some a -> a | None -> v in
-          Hw.Sim.mem_write sim t.Cpu.Mt_pipeline.regfile
+          (* Two's complement, as the 32-bit register holds it. *)
+          Hw.Sim.mem_set_int regfile
             ((slot * Cpu.Isa.num_regs) + r)
-            (Bits.of_int_trunc ~width:32 v)
+            (v land 0xffffffff)
         done;
-        for a = 0 to dregion - 1 do
-          Hw.Sim.mem_write sim t.Cpu.Mt_pipeline.dmem (dbase + a)
-            (Bits.zero 32)
-        done;
+        Hw.Sim.mem_fill_int dmem ~pos:dbase ~len:dregion 0;
         state.(slot) <- Launching;
         Queue.add (slot, base) pending_restart);
     cancel =

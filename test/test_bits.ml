@@ -274,6 +274,39 @@ let test_int_fast_path () =
       (Bits.select_int v ~hi ~lo)
   done
 
+(* [Bits.mul] against the textbook shift-and-add product, kept here as
+   the reference: one shifted copy of [a] per set bit of [b].  Widths
+   1-200 cover single limbs, limb boundaries and products of several
+   limbs; each operand is random, zero or all ones (the carry-heaviest
+   case) a third of the time each. *)
+let mul_reference a b =
+  let w = Bits.width a + Bits.width b in
+  let a' = Bits.uresize a w in
+  let acc = ref (Bits.zero w) in
+  for i = 0 to Bits.width b - 1 do
+    if Bits.bit b i then acc := Bits.add !acc (Bits.shift_left a' i)
+  done;
+  !acc
+
+let arb_mul_operands =
+  let operand st =
+    let w = 1 + Random.State.int st 200 in
+    match Random.State.int st 3 with
+    | 0 -> Bits.zero w
+    | 1 -> Bits.ones w
+    | _ -> Bits.random st ~width:w
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> Bits.to_string a ^ " * " ^ Bits.to_string b)
+    (fun st ->
+      let a = operand st in
+      (a, operand st))
+
+let prop_mul_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"mul matches shift-and-add"
+       arb_mul_operands (fun (a, b) -> Bits.equal (Bits.mul a b) (mul_reference a b)))
+
 let suite =
   ( "bits",
     [ Alcotest.test_case "random never raises" `Quick test_random;
@@ -294,4 +327,5 @@ let suite =
       Alcotest.test_case "bit ops wide" `Quick test_bit_ops;
       Alcotest.test_case "split_lsb" `Quick test_split;
       Alcotest.test_case "invalid args" `Quick test_invalid ]
-    @ properties )
+    @ properties
+    @ [ prop_mul_matches_reference ] )

@@ -352,6 +352,41 @@ let prop_random_programs =
            !ok
          end))
 
+(* Assembler fuzz: truncations and seeded single-byte mutations of the
+   serving benchmark's two job shapes (a counted add loop and a
+   store/load loop).  Every input assembles or raises [Asm.Error];
+   any other exception escaping the parser fails the property. *)
+let asm_job_shapes =
+  [ "li r1, 7\nloop: add r2, r2, r1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt";
+    "li r1, 12\nloop: sw r1, 0(r15)\nlw r3, 0(r15)\nadd r2, r2, r3\n\
+     addi r1, r1, -1\nbne r1, r0, loop\nhalt" ]
+
+let assembles_or_errors text =
+  match Cpu.Asm.assemble_words ~origin:256 text with
+  | _ -> true
+  | exception Cpu.Asm.Error _ -> true
+
+let test_asm_truncations () =
+  List.iter
+    (fun src ->
+      for n = 0 to String.length src do
+        let text = String.sub src 0 n in
+        if not (assembles_or_errors text) then Alcotest.failf "prefix %S" text
+      done)
+    asm_job_shapes
+
+let prop_asm_mutations =
+  let gen st =
+    let src = List.nth asm_job_shapes (Random.State.int st 2) in
+    let b = Bytes.of_string src in
+    Bytes.set b (Random.State.int st (Bytes.length b)) (Char.chr (Random.State.int st 256));
+    Bytes.to_string b
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"asm mutations: result or Asm.Error"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen)
+       assembles_or_errors)
+
 let kind_cases name f =
   List.map
     (fun kind ->
@@ -379,4 +414,7 @@ let suite =
           test_pipeline_eight_threads;
         Alcotest.test_case "multithreading hides latency" `Quick
           test_multithreading_hides_latency;
-        prop_random_programs ] )
+        prop_random_programs;
+        Alcotest.test_case "asm truncations: result or Asm.Error" `Quick
+          test_asm_truncations;
+        prop_asm_mutations ] )

@@ -186,6 +186,105 @@ let test_trace_file_roundtrip () =
       let t' = Fleet.Trace.of_file path in
       Alcotest.(check bool) "roundtrip" true (t = t'))
 
+(* A malformed line and a class outside [?classes] both raise
+   [Failure] naming the file and the line. *)
+let with_trace_file text f =
+  let path = Filename.temp_file "fleet_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      f path)
+
+let test_trace_file_errors () =
+  let expect_failure ?classes text ~line =
+    with_trace_file text (fun path ->
+        match Fleet.Trace.of_file ?classes path with
+        | _ -> Alcotest.failf "%S accepted" text
+        | exception Failure msg ->
+          let where = Printf.sprintf "%s:%d: " path line in
+          Alcotest.(check bool) (msg ^ " names " ^ where) true
+            (String.starts_with ~prefix:where msg))
+  in
+  expect_failure "0 abc\nxx def\n" ~line:2;
+  expect_failure ~classes:1 "0 abc\n# comment\n1 def 5\n" ~line:3;
+  expect_failure ~classes:2 "0 abc 1\n1 def 2\n" ~line:2;
+  with_trace_file "0 abc 1\n" (fun path ->
+      Alcotest.(check int) "class below ?classes" 1
+        (Fleet.Trace.of_file ~classes:2 path).(0).Fleet.Trace.cls)
+
+let contains s ~sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [elsim fleet --trace FILE] turns both errors into a one-line CLI
+   error naming path:line with a non-zero exit, instead of cmdliner's
+   "internal error, uncaught exception". *)
+let test_elsim_fleet_trace_errors () =
+  let elsim =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/elsim.exe"
+  in
+  List.iter
+    (fun (text, line) ->
+      with_trace_file text (fun path ->
+          let err = Filename.temp_file "elsim" ".err" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove err)
+            (fun () ->
+              let rc =
+                Sys.command
+                  (Printf.sprintf "%s fleet --trace %s > /dev/null 2> %s"
+                     (Filename.quote elsim) (Filename.quote path)
+                     (Filename.quote err))
+              in
+              let out = String.trim (In_channel.with_open_bin err In_channel.input_all) in
+              Alcotest.(check bool) (out ^ ": non-zero exit") true (rc <> 0);
+              Alcotest.(check int) (out ^ ": one line") 1
+                (List.length
+                   (List.filter (( <> ) "") (String.split_on_char '\n' out)));
+              let where = Printf.sprintf "%s:%d: " path line in
+              Alcotest.(check bool) (out ^ ": names " ^ where) true
+(contains out ~sub:where))))
+    [ ("0 abc\nxx def\n", 2); ("0 abc\n1 def 5\n", 2) ]
+
+(* Parser fuzz: every prefix of a [to_file] output, then seeded
+   single-byte mutations of it.  Each parse returns requests or raises
+   [Failure "path:line: ..."]; no other exception escapes. *)
+let parses_or_fails path =
+  match Fleet.Trace.of_file path with
+  | _ -> true
+  | exception Failure msg -> String.starts_with ~prefix:(path ^ ":") msg
+
+let fuzz_source () =
+  let t =
+    Fleet.Trace.generate ~seed:5
+      ~phases:[ Fleet.Trace.Steady { cycles = 40; rate = 0.3 } ]
+      ()
+  in
+  with_trace_file "" (fun path ->
+      Fleet.Trace.to_file path t;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let test_trace_prefixes () =
+  let src = fuzz_source () in
+  for n = 0 to String.length src do
+    with_trace_file (String.sub src 0 n) (fun path ->
+        if not (parses_or_fails path) then Alcotest.failf "prefix of %d bytes" n)
+  done
+
+let prop_trace_mutations =
+  let src = lazy (fuzz_source ()) in
+  let gen st =
+    let b = Bytes.of_string (Lazy.force src) in
+    Bytes.set b (Random.State.int st (Bytes.length b)) (Char.chr (Random.State.int st 256));
+    Bytes.to_string b
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"trace mutations: result or path:line Failure"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen)
+       (fun text -> with_trace_file text parses_or_fails))
+
 (* ---- Frontend ---- *)
 
 let flat_host ?(monitor = false) ?(slots = 4) () i =
@@ -404,4 +503,11 @@ let suite =
         test_frontend_retirement;
       Alcotest.test_case "frontend sheds when swamped" `Quick
         test_frontend_sheds_when_swamped;
-      Alcotest.test_case "frontend noc host" `Slow test_frontend_noc_host ] )
+      Alcotest.test_case "frontend noc host" `Slow test_frontend_noc_host;
+      Alcotest.test_case "trace file errors name path:line" `Quick
+        test_trace_file_errors;
+      Alcotest.test_case "elsim fleet --trace errors" `Quick
+        test_elsim_fleet_trace_errors;
+      Alcotest.test_case "trace prefixes: result or path:line Failure" `Quick
+        test_trace_prefixes;
+      prop_trace_mutations ] )

@@ -166,6 +166,66 @@ let prop_area_monotone =
          in
          les (n + 1) >= les n))
 
+(* Table I pinned: the rows [bench/main.exe table1] prints, rebuilt
+   the way it builds them (elaborate, [Transform.optimize], map), with
+   every column asserted.  A simulator-side change must leave the
+   paper's area table exactly as it is; in particular the CPU's ALU
+   product stays one [Mul] node, one DSP. *)
+let table1_rows () =
+  let report label c =
+    Fpga.Report.of_circuit ~label (fst (Hw.Transform.optimize c))
+  in
+  let md5 kind =
+    report
+      (Printf.sprintf "MD5 %s 8T" (Melastic.Meb.kind_to_string kind))
+      (Md5.Md5_circuit.circuit ~kind ~threads:8 ())
+  in
+  let cpu kind =
+    report
+      (Printf.sprintf "CPU %s 8T" (Melastic.Meb.kind_to_string kind))
+      (fst
+         (Cpu.Mt_pipeline.circuit
+            { (Cpu.Mt_pipeline.default_config ~threads:8) with
+              Cpu.Mt_pipeline.kind }))
+  in
+  let s1 label build =
+    let b = S.Builder.create () in
+    let src = Elastic.Channel.source b ~name:"src" ~width:32 in
+    Elastic.Channel.sink b ~name:"snk" (build b src);
+    report label (Hw.Circuit.create b)
+  in
+  [ md5 Melastic.Meb.Full; md5 Melastic.Meb.Reduced; cpu Melastic.Meb.Full;
+    cpu Melastic.Meb.Reduced;
+    s1 "EB S=1 (frozen)" (fun b src -> (Golden.Eb.create b src).Golden.Eb.out);
+    s1 "MEB red 1T" (fun b src ->
+        Elastic.Channel.of_mt
+          (Melastic.Meb_reduced.create ~name:"eb"
+             ~policy:Melastic.Policy.Valid_only b (Elastic.Channel.to_mt src))
+            .Melastic.Meb_reduced.out) ]
+
+let test_table1_pinned () =
+  (* label, LEs, LUTs, FFs, BRAM, DSP, Fmax (MHz, as printed) *)
+  let pinned =
+    [ ("MD5 full 8T", 17504, 15400, 4269, 2, 0, "13.5");
+      ("MD5 reduced 8T", 15682, 15412, 2435, 2, 0, "13.6");
+      ("CPU full 8T", 12138, 8919, 6491, 4, 1, "64.4");
+      ("CPU reduced 8T", 9662, 8949, 3985, 4, 1, "58.6");
+      ("EB S=1 (frozen)", 87, 55, 66, 0, 0, "581.7");
+      ("MEB red 1T", 89, 57, 66, 0, 0, "515.0") ]
+  in
+  List.iter2
+    (fun (label, les, luts, ffs, brams, dsps, fmax) (r : Fpga.Report.row) ->
+      let chk what want got = Alcotest.(check int) (label ^ " " ^ what) want got in
+      Alcotest.(check string) "row" label r.Fpga.Report.label;
+      chk "LEs" les r.Fpga.Report.les;
+      chk "LUTs" luts r.Fpga.Report.luts;
+      chk "FFs" ffs r.Fpga.Report.ffs;
+      chk "BRAM" brams r.Fpga.Report.brams;
+      chk "DSP" dsps r.Fpga.Report.dsps;
+      Alcotest.(check string) (label ^ " Fmax") fmax
+        (Printf.sprintf "%.1f" r.Fpga.Report.fmax_mhz))
+    pinned (table1_rows ())
+
 let suite =
   ( "fpga",
     [ Alcotest.test_case "wiring free" `Quick test_wiring_is_free;
@@ -177,4 +237,5 @@ let suite =
       Alcotest.test_case "timing monotone" `Quick test_timing_monotone;
       Alcotest.test_case "registers cut paths" `Quick test_timing_registers_cut_paths;
       Alcotest.test_case "critical path report" `Quick test_timing_critical_path_report;
-      prop_area_monotone ] )
+      prop_area_monotone;
+      Alcotest.test_case "table1 pinned" `Quick test_table1_pinned ] )

@@ -994,6 +994,13 @@ let minor_words_of f =
   f ();
   Gc.minor_words () -. w0
 
+(* Minor words per cycle of [run n] as the slope between a 1000- and a
+   3000-cycle run, so the fixed cost of one call (a free-run's closing
+   settle) drops out. *)
+let words_per_cycle run =
+  let words n = minor_words_of (fun () -> run n) in
+  (words 3000 -. words 1000) /. 2000.
+
 (* read_words/write_words agree with read/write at every width on every
    backend; an unchanged rewrite allocates nothing and leaves the next
    settle free; bad slices and non-input targets raise. *)
@@ -1082,9 +1089,7 @@ let test_word_ports () =
 
 (* The stepped and the free-running JIT kernel of MD5 8T (all threads
    offering, sink ready) allocate at most 17 minor words per cycle:
-   the two wide concatenations of the state cone, one vector each.
-   Words per cycle is the slope between a short and a long run, so the
-   fixed cost of one call (the free-run's closing settle) drops out. *)
+   the two wide concatenations of the state cone, one vector each. *)
 let test_jit_md5_cycle_words () =
   let sim =
     Hw.Sim.create ~backend:Hw.Sim.Jit
@@ -1093,18 +1098,227 @@ let test_jit_md5_cycle_words () =
   Hw.Sim.poke_int sim "msg_valid" 255;
   Hw.Sim.poke_int sim "digest_ready" 255;
   Hw.Sim.cycles sim 200;
-  let per_cycle run =
-    let words n = minor_words_of (fun () -> run n) in
-    (words 3000 -. words 1000) /. 2000.
-  in
-  let stepped = per_cycle (fun n -> for _ = 1 to n do Hw.Sim.cycle sim done) in
-  let freerun = per_cycle (Hw.Sim.cycles sim) in
+  let stepped = words_per_cycle (fun n -> for _ = 1 to n do Hw.Sim.cycle sim done) in
+  let freerun = words_per_cycle (Hw.Sim.cycles sim) in
   Alcotest.(check bool)
     (Printf.sprintf "Sim.cycle: %.2f words/cycle <= 17" stepped)
     true (stepped <= 17.);
   Alcotest.(check bool)
     (Printf.sprintf "Sim.cycles: %.2f words/cycle <= 17" freerun)
     true (freerun <= 17.)
+
+(* ---- wide multiplies read through selects ---- *)
+
+(* Products of two int-path factors (widths 32-62, so the product is
+   wide) read through narrow selects: [hi] = 61 and 62 with [lo] > 0,
+   [lo] = 0, random ranges below 63, and ranges reaching bit 63 and
+   the top that must keep the full product.  One product is also registered and one is
+   named, so those stay materialized beside their fused selects.  The
+   factors come from inputs and from narrow feedback registers, so the
+   selects sit in both the input cone and the state cone (the JIT's
+   stepped kernel and its batched free-run).  Returns the circuit and
+   the products that only fused selects read. *)
+let mul_select_circuit st =
+  let b = S.Builder.create () in
+  let w () = 32 + Random.State.int st 31 in
+  let ins = Array.init 3 (fun i -> S.input b (Printf.sprintf "in%d" i) (w ())) in
+  let fb = Array.init 3 (fun _ -> S.wire b (w ())) in
+  let factor w =
+    let pool = Array.append ins fb in
+    S.uresize b pool.(Random.State.int st (Array.length pool)) w
+  in
+  let product () =
+    let w = w () in
+    S.mul b (factor w) (factor w)
+  in
+  (* Products only fused selects read get factors of their own, so the
+     optimizer cannot merge them with a kept product. *)
+  let own_product k =
+    let w = w () in
+    S.mul b
+      (S.input b (Printf.sprintf "x%d" k) w)
+      (S.input b (Printf.sprintf "y%d" k) w)
+  in
+  let only_fused = ref [] in
+  let outs = ref [] in
+  (* Each select is read raw, through an unsigned compare and as the
+     low part of a concat: the last two see any bit a wrong mask or
+     shift leaves above the select's width. *)
+  let sel p ~hi ~lo =
+    let x = S.select b p ~hi ~lo in
+    let w = S.width x in
+    outs :=
+      x
+      :: S.ult b x (S.uresize b ins.(1) w)
+      :: S.concat_msb b [ S.select b ins.(2) ~hi:0 ~lo:0; x ]
+      :: !outs
+  in
+  for k = 0 to 5 do
+    let p = if k < 3 then product () else own_product k in
+    let pw = S.width p in
+    sel p ~hi:61 ~lo:(1 + Random.State.int st 30);
+    sel p ~hi:62 ~lo:(1 + Random.State.int st 40);
+    sel p ~hi:(Random.State.int st 62) ~lo:0;
+    (match k with
+     | 0 -> outs := S.reg b p :: !outs (* registered: materialized *)
+     | 1 -> ignore (S.set_name p "named_product")
+     | 2 ->
+       (* Bit 63 and up: past what [*] keeps, so these stay unfused. *)
+       sel p ~hi:63 ~lo:(2 + Random.State.int st 30);
+       sel p ~hi:(pw - 1) ~lo:(pw - 40)
+     | _ -> only_fused := p :: !only_fused)
+  done;
+  (* Narrow feedback: each register takes a fused select of a product
+     of itself and an input, so the state cone multiplies too. *)
+  Array.iter
+    (fun q ->
+      let qw = S.width q in
+      let pw = max qw (S.width ins.(0)) in
+      let p = S.mul b (S.uresize b q pw) (S.uresize b ins.(0) pw) in
+      let next = S.uresize b (S.select b p ~hi:62 ~lo:1) qw in
+      let r = S.reg b ~init:(Bits.random st ~width:qw) (S.add b next (S.uresize b ins.(1) qw)) in
+      S.assign q r;
+      outs := r :: !outs)
+    fb;
+  List.iteri (fun i o -> ignore (S.output b (Printf.sprintf "o%d" i) o)) !outs;
+  (Hw.Circuit.create b, !only_fused)
+
+let test_jit_mul_select_lockstep () =
+  let st = Random.State.make [| 0x6d75 |] in
+  for k = 1 to 4 do
+    let circuit, only_fused = mul_select_circuit st in
+    let si, sc = both circuit in
+    drive_lockstep ~cycles:20 st si sc;
+    let si = Hw.Sim.create ~backend:Hw.Sim.Interp circuit in
+    let sj = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+    drive_lockstep ~cycles:20 st si sj;
+    Hw.Sim.cycles sj 1100;
+    for _ = 1 to 1100 do Hw.Sim.cycle si done;
+    check_outputs (Printf.sprintf "circuit %d: free-run" k) si sj;
+    (* The kept products read as in the interpreter; a product that
+       only fused selects read is never computed, so the JIT refuses
+       to peek it, as it does any register-allocated node. *)
+    Alcotest.(check bool) (Printf.sprintf "circuit %d: named product" k) true
+      (Bits.equal (Hw.Sim.peek si "named_product") (Hw.Sim.peek sj "named_product"));
+    List.iter
+      (fun p ->
+        match Hw.Sim.peek_signal sj p with
+        | _ -> Alcotest.failf "circuit %d: an only-fused product is materialized" k
+        | exception Invalid_argument _ -> ())
+      only_fused
+  done
+
+(* The stepped JIT kernel of the CPU 4T (a non-halting loop keeping
+   every thread busy) allocates at most 23 minor words per cycle: the
+   wide pipeline tokens, one fresh vector each, and no multiply.
+   Measured like the MD5 ceiling above. *)
+let test_jit_cpu_cycle_words () =
+  let circuit, t = Cpu.Mt_pipeline.circuit (Cpu.Mt_pipeline.default_config ~threads:4) in
+  let sim = Hw.Sim.create ~backend:Hw.Sim.Jit circuit in
+  Cpu.Mt_pipeline.load_program sim t
+    (Cpu.Asm.assemble_words
+       "addi r1, r0, 1\nloop: add r2, r2, r1\nmul r4, r2, r2\nsw r2, 0(r1)\n\
+        lw r3, 0(r1)\nbne r3, r0, loop\nhalt\n");
+  Hw.Sim.cycles sim 200;
+  let per_cycle = words_per_cycle (fun n -> for _ = 1 to n do Hw.Sim.cycle sim done) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Sim.cycle: %.2f words/cycle <= 23" per_cycle)
+    true (per_cycle <= 23.);
+  Alcotest.(check bool) "the loop retires" true (Hw.Sim.peek_int sim "retired_total" > 1000)
+
+(* ---- memory ports ---- *)
+
+(* A narrow (32-bit) and a wide (100-bit) memory, each with a write
+   port and an async read at an input address. *)
+let mem_port_circuit () =
+  let b = S.Builder.create () in
+  let mem name width =
+    let m = S.Memory.create b ~name ~size:8 ~width () in
+    let a = S.input b (name ^ "_ra") 3 in
+    S.Memory.write b m ~we:(S.input b (name ^ "_we") 1)
+      ~addr:(S.input b (name ^ "_wa") 3) ~data:(S.input b (name ^ "_wd") width);
+    ignore (S.output b (name ^ "_rd") (S.Memory.read_async b m ~addr:a));
+    m
+  in
+  let n = mem "n" 32 in
+  let w = mem "w" 100 in
+  (Hw.Circuit.create b, n, w)
+
+let test_mem_ports () =
+  let st = Random.State.make [| 0x3e3 |] in
+  List.iter
+    (fun backend ->
+      let tag = Hw.Sim.backend_to_string backend in
+      let circuit, nm, wm = mem_port_circuit () in
+      let sim = Hw.Sim.create ~backend circuit in
+      let np = Hw.Sim.mem_port sim nm and wp = Hw.Sim.mem_port sim wm in
+      (* Int and Bits access agree, both ways, with the by-handle API. *)
+      for a = 0 to 7 do
+        let v = Random.State.bits st in
+        Hw.Sim.mem_set_int np a v;
+        Alcotest.(check int) (tag ^ " int -> Bits") v (Bits.to_int (Hw.Sim.mem_get np a));
+        Alcotest.(check int) (tag ^ " mem_read") v (Bits.to_int (Hw.Sim.mem_read sim nm a));
+        let bv = Bits.random st ~width:32 in
+        Hw.Sim.mem_set np a bv;
+        Alcotest.(check int) (tag ^ " Bits -> int") (Bits.to_int bv) (Hw.Sim.mem_get_int np a);
+        let wv = Bits.random st ~width:100 in
+        Hw.Sim.mem_write sim wm a wv;
+        Alcotest.(check bool) (tag ^ " wide roundtrip") true (Bits.equal wv (Hw.Sim.mem_get wp a))
+      done;
+      Hw.Sim.mem_set_int np 3 (0x1_2345_6789 lor (1 lsl 40));
+      Alcotest.(check int) (tag ^ " truncated to the width") 0x2345_6789
+        (Hw.Sim.mem_get_int np 3);
+      Hw.Sim.mem_fill_int np ~pos:2 ~len:4 7;
+      Alcotest.(check (list int)) (tag ^ " fill") [ 7; 7; 7; 7 ]
+        (List.init 4 (fun i -> Hw.Sim.mem_get_int np (2 + i)));
+      (* A port write is seen by the async read after a settle, also
+         when the read address did not change; and across a reset. *)
+      let visible what =
+        Hw.Sim.poke_int sim "n_ra" 5;
+        Hw.Sim.settle sim;
+        Hw.Sim.mem_set_int np 5 0xabcd;
+        Hw.Sim.settle sim;
+        Alcotest.(check int) (tag ^ " async read sees the port write" ^ what) 0xabcd
+          (Hw.Sim.peek_int sim "n_rd");
+        let wv = Bits.random st ~width:100 in
+        Hw.Sim.poke_int sim "w_ra" 6;
+        Hw.Sim.settle sim;
+        Hw.Sim.mem_set wp 6 wv;
+        Hw.Sim.settle sim;
+        Alcotest.(check bool) (tag ^ " wide async read" ^ what) true
+          (Bits.equal wv (Hw.Sim.peek sim "w_rd"))
+      in
+      visible "";
+      Hw.Sim.reset sim;
+      Alcotest.(check int) (tag ^ " reset clears through the port") 0
+        (Hw.Sim.mem_get_int np 5);
+      visible " after reset";
+      (* The circuit's own write port and the testbench port agree. *)
+      Hw.Sim.poke_int sim "n_we" 1;
+      Hw.Sim.poke_int sim "n_wa" 1;
+      Hw.Sim.poke_int sim "n_wd" 4242;
+      Hw.Sim.cycle sim;
+      Alcotest.(check int) (tag ^ " circuit write seen by the port") 4242
+        (Hw.Sim.mem_get_int np 1);
+      let raises what f =
+        match f () with
+        | _ -> Alcotest.failf "%s: %s accepted" tag what
+        | exception Invalid_argument _ -> ()
+      in
+      raises "read -1" (fun () -> Hw.Sim.mem_get_int np (-1));
+      raises "read 8" (fun () -> Hw.Sim.mem_get np 8);
+      raises "write 8" (fun () -> Hw.Sim.mem_set_int np 8 0);
+      raises "Bits write -1" (fun () -> Hw.Sim.mem_set wp (-1) (Bits.zero 100));
+      raises "negative value" (fun () -> Hw.Sim.mem_set_int np 0 (-1));
+      raises "width mismatch" (fun () -> Hw.Sim.mem_set np 0 (Bits.zero 31));
+      raises "fill past the end" (fun () -> Hw.Sim.mem_fill_int np ~pos:5 ~len:4 0);
+      raises "fill negative length" (fun () -> Hw.Sim.mem_fill_int np ~pos:0 ~len:(-1) 0);
+      raises "int read of a wide memory" (fun () -> Hw.Sim.mem_get_int wp 0);
+      raises "int write of a wide memory" (fun () -> Hw.Sim.mem_set_int wp 0 1);
+      raises "fill of a wide memory" (fun () -> Hw.Sim.mem_fill_int wp ~pos:0 ~len:1 0);
+      let _, foreign, _ = mem_port_circuit () in
+      raises "foreign memory" (fun () -> Hw.Sim.mem_port sim foreign))
+    all_backends
 
 let suite =
   ( "sim-backends",
@@ -1144,4 +1358,10 @@ let suite =
       Alcotest.test_case "jit cache rebuilds corrupt entries" `Quick
         test_jit_cache_corruption;
       Alcotest.test_case "jit concurrent builders, one cache" `Quick
-        test_jit_concurrent_builders ] )
+        test_jit_concurrent_builders;
+      Alcotest.test_case "jit wide multiply selects lockstep" `Quick
+        test_jit_mul_select_lockstep;
+      Alcotest.test_case "jit cpu 4T words per cycle" `Quick
+        test_jit_cpu_cycle_words;
+      Alcotest.test_case "memory ports agree (interp|compiled|jit)" `Quick
+        test_mem_ports ] )
